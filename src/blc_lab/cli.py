@@ -5,8 +5,9 @@ profiles and constants, convolve two specs, run the convolution stability
 criterion, smooth through shrinking Gaussians, project a multivariate
 measure onto a line, and scan directions in R^d.  Artifacts are CSV files
 (12 significant digits) plus JSON summaries; the JSON summary also goes to
-stdout.  Exit status: 0 certified/stable, 1 violated/unstable,
-2 inconclusive, 3 usage or input errors, 4 runtime failures.
+stdout.  Exit status: 0 certified/stable, 1 violated/unstable (also a
+BLC-only command given a non-BLC input), 2 inconclusive, 3 usage or input
+errors, 4 runtime failures.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .core import (
     materialize,
 )
 from .isoperimetry import (
+    RequiresCertificateError,
     blc_isoperimetric_constant,
     bobkov_houdre_constant,
     concentration_check,
@@ -130,7 +132,7 @@ def _cmd_convolve(args) -> int:
 def _cmd_criterion(args) -> int:
     gX, _ = _load_1d(args.x, args.n, args.tol)
     gY, _ = _load_1d(args.y, args.n, args.tol)
-    report = covariance_criterion(gX, gY, tolerance=args.tol if args.tol else 1e-6)
+    report = covariance_criterion(gX, gY, tolerance=args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "criterion.csv")
@@ -251,6 +253,9 @@ def main(argv=None) -> int:
     except (SpecError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"blc-lab: error: {exc}", file=sys.stderr)
         return 3
+    except RequiresCertificateError as exc:  # a BLC-only command on a non-BLC input
+        print(f"blc-lab: error: {exc}", file=sys.stderr)
+        return 1
     except (DegenerateDensityError, ValueError) as exc:
         print(f"blc-lab: error: {exc}", file=sys.stderr)
         return 4

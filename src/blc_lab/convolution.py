@@ -1,11 +1,24 @@
 """Numerical convolution of densities and convolution-stability analysis.
 
-The density of X+Y is computed by direct quadrature of
-``f_Z(x) = int f_X(x - y) f_Y(y) dy`` on Y's grid; the CDF comes from the
-companion identity ``F_Z(x) = int F_X(x - y) f_Y(y) dy`` rather than from
-re-integrating f_Z, which keeps the tails honest.  Stability of
-bi-log-concavity under the convolution is characterized by two covariance
-conditions: with a(y) = (-log f_Y)'(y),
+The density of X+Y is the quadrature ``f_Z(x) = int f_X(x - y) f_Y(y) dy``
+on Y's grid; the CDF comes from the companion identity
+``F_Z(x) = int F_X(x - y) f_Y(y) dy`` rather than from re-integrating f_Z,
+which keeps the tails honest, and f_Z' likewise from f_X'.
+
+When Y's grid is uniform with spacing h, the output nodes are put on Y's
+lattice, ``x_k = x_0 + y_0 + m h k``.  Every difference x_k - y_j is then a
+point ``x_0 + h t`` of one lattice, so X's pdf, cdf and derivative are each
+evaluated once on it and each quadrature sum over all nodes is one FFT
+correlation with ``quad_weights * f_Y``: the same fourth-order rule on the
+same analytic functions, in O(n log n) instead of O(n^2).  The node
+derivatives come from the same pass, so certifying the result does not
+repeat the sum.  Which factor plays Y is decided by the factors, not the
+argument order (see :func:`convolve`).  A non-uniform (tabulated) Y grid
+keeps the direct O(n^2) sum, and so do off-node derivative queries and
+:func:`upper_tail_at`.
+
+Stability of bi-log-concavity under the convolution is characterized by two
+covariance conditions: with a(y) = (-log f_Y)'(y),
 
     cov_{m_x}( a, f_X/F_X (x - .) )            >= 0   and
     cov_{mbar_x}( a, -f_X/(1-F_X) (x - .) )    >= 0   for all x in J(F_Z),
@@ -25,6 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .certify import Certificate, CertifyOptions, Status, certify_blc
 from .core import (
@@ -34,6 +48,7 @@ from .core import (
     GridDensity,
     materialize,
     quadrature_weights,
+    _is_uniform,
     _j_range,
 )
 from .isoperimetry import _require_blc
@@ -53,42 +68,107 @@ def _eval_outer(fn, xs_out: np.ndarray, ys: np.ndarray, wf: np.ndarray) -> np.nd
     return out
 
 
+def _x_functions(g: GridDensity):
+    """pdf, cdf and density derivative (None if unknown), exact when available."""
+    return (g.pdf_fn if g.pdf_fn is not None else g.pdf,
+            g.cdf_fn if g.cdf_fn is not None else g.cdf,
+            g.dpdf_fn)
+
+
+def _spacing(g: GridDensity) -> Optional[float]:
+    """Node spacing of a uniform grid; None for a non-uniform one."""
+    return float(g.xs[-1] - g.xs[0]) / (len(g) - 1) if _is_uniform(g.xs) else None
+
+
+def _roles(gX: GridDensity, gY: GridDensity) -> tuple[GridDensity, GridDensity]:
+    """Order the factors as (X, Y), Y being the one whose grid carries the sum.
+
+    A uniform factor goes to Y, where its box is handled in closed form.
+    Between two analytic factors on uniform grids a kinked one (Laplace) goes
+    to Y, so its kink sits on an even node of the parabolic rule; otherwise
+    the finer grid does.  The choice depends on the factors only, so both
+    argument orders give the same nodes.
+    """
+    if gX.uniform_bounds is not None:
+        return gY, gX
+    if gY.uniform_bounds is not None:
+        return gX, gY
+    hX, hY = _spacing(gX), _spacing(gY)
+    analytic = all(g.pdf_fn is not None and g.cdf_fn is not None for g in (gX, gY))
+    if analytic and hX is not None and hY is not None \
+            and (gX.kink_x is None, hX) < (gY.kink_x is None, hY):
+        return gY, gX
+    return gX, gY
+
+
+def _lattice_sums(fns, start: float, u_ref: float, gY: GridDensity,
+                  m: int, n_out: int) -> np.ndarray:
+    """sum_j wf_j fn(start + m h k - y_j) for k < n_out, one row per fn.
+
+    With y_j = y_0 + j h the argument is start - y_0 + h (m k - j), a point
+    of one lattice, so each fn is evaluated once on its m (n_out - 1) + n_Y
+    points and the sums are a correlation with wf = quad_weights * f_Y, done
+    by one real FFT.  The lattice is laid out from ``u_ref``, one of its
+    points, which is then hit exactly (X's kink, where the derivative takes
+    its convention value).  The transform length is at least the lattice
+    length, so nothing wraps around into the entries read back.
+    """
+    n_y, h = len(gY), _spacing(gY)
+    size = m * (n_out - 1) + n_y
+    i_ref = round((u_ref - start + gY.xs[0]) / h) + n_y - 1
+    u = u_ref + h * (np.arange(size) - i_ref)
+    n_fft = next_fast_len(size, real=True)
+    wf_hat = np.fft.rfft(gY.quad_weights * gY.fs, n_fft)
+    vals = np.stack([np.asarray(fn(u), dtype=float) for fn in fns])
+    full = np.fft.irfft(np.fft.rfft(vals, n_fft, axis=-1) * wf_hat, n_fft, axis=-1)
+    return full[:, n_y - 1:size:m]
+
+
+def _nodes_or_direct(xs: np.ndarray, node_vals: np.ndarray, direct: Callable) -> Callable:
+    """Derivative callable: precomputed values at nodes, ``direct`` elsewhere."""
+    def dpdf_Z(x):
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        idx = np.minimum(np.searchsorted(xs, flat), len(xs) - 1)
+        hit = xs[idx] == flat
+        out = node_vals[idx]
+        if not hit.all():
+            out[~hit] = direct(flat[~hit])
+        return out.reshape(x.shape)
+    return dpdf_Z
+
+
 def convolve(gX: GridDensity, gY: GridDensity,
              n_points: Optional[int] = None) -> GridDensity:
     """Density of X+Y on a uniform grid spanning the summed supports.
 
+    The factors are first put in their roles (:func:`_roles`): a uniform
+    factor, else a kinked one, else the one on the finer grid becomes Y.
+    When Y's grid is uniform with spacing h the nodes are Y's lattice points
+    ``x_0 + y_0 + m h k``, with ``m`` the largest step that still gives at
+    least ``n_points`` nodes (so between n and about 2n of them), and f_Z,
+    F_Z and f_Z' at every node come from one FFT pass.  If X has a kink
+    (Laplace) the nodes shift by less than 2h and ``m`` is even (unless 1),
+    so that the kink meets Y's grid on an even node at every output node.
+    f_Z' off the nodes is summed directly, so it stays exact.
+
+    A tabulated (non-uniform) Y gets ``n_points`` evenly spaced nodes and
+    direct O(n^2) sums, and so does a Y too coarse for ``n_points`` nodes or
+    so fine that its lattice would hold more than a quarter of the n * n_Y
+    points of the direct sums.
+
     A uniform factor's density is discontinuous, so sampling it inside the
-    quadrature would cost a full order of accuracy; averaging Y's CDF over
-    the box is exact instead, and the factors are swapped so the box always
-    ends up on the analytic side.
+    quadrature would cost a full order of accuracy; its f_Z and f_Z' are
+    taken in closed form from X's CDF and density instead, and only F_Z is
+    summed.
     """
-    if gX.uniform_bounds is not None:
-        gX, gY = gY, gX  # convolution commutes; keep the box on the Y side
+    gX, gY = _roles(gX, gY)
     if n_points is not None:
         n = n_points
     else:
         n = max(len(gX), len(gY))
-        n += 1 - n % 2  # odd count puts the midpoint of the summed supports on a node
-    lo = gX.xs[0] + gY.xs[0]
-    hi = gX.xs[-1] + gY.xs[-1]
-    xs = np.linspace(lo, hi, n)
-
-    if gY.uniform_bounds is not None:
-        fs, Fs, dpdf_Z = _convolve_with_box(gX, gY, xs)
-    else:
-        ys = gY.xs
-        wf = gY.quad_weights * gY.fs
-        pdf_X = gX.pdf_fn if gX.pdf_fn is not None else gX.pdf
-        cdf_X = gX.cdf_fn if gX.cdf_fn is not None else gX.cdf
-        fs = _eval_outer(pdf_X, xs, ys, wf)
-        Fs = _eval_outer(cdf_X, xs, ys, wf)
-        if gX.dpdf_fn is not None:
-            def dpdf_Z(x, _d=gX.dpdf_fn, _ys=ys, _wf=wf):
-                x = np.atleast_1d(np.asarray(x, dtype=float))
-                return _eval_outer(_d, x, _ys, _wf)
-        else:
-            dpdf_Z = None
-
+        n += 1 - n % 2  # odd: direct sums get the midpoint of the summed supports as a node
+    xs, fs, Fs, dpdf_Z = _node_sums(gX, gY, n)
     Fs = np.maximum.accumulate(np.clip(Fs, 0.0, 1.0))
     fs = np.maximum(fs, 0.0)
     total = float(np.sum(quadrature_weights(xs) * fs))
@@ -100,32 +180,77 @@ def convolve(gX: GridDensity, gY: GridDensity,
     )
 
 
-def _convolve_with_box(gX: GridDensity, gY: GridDensity, xs: np.ndarray):
-    """Closed-form convolution with a uniform factor Y on [lo, hi].
+def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
+    """Nodes of X+Y with f_Z and F_Z there (unclipped) and the f_Z' callable.
+
+    The factors come in their roles; ``n`` is the least node count.
+    """
+    pdf_X, cdf_X, dpdf_X = _x_functions(gX)
+    box = gY.uniform_bounds is not None
+    ys, wf = gY.xs, gY.quad_weights * gY.fs
+    lo = gX.xs[0] + gY.xs[0]
+    span = (gX.xs[-1] - gX.xs[0]) + (gY.xs[-1] - gY.xs[0])
+    h = _spacing(gY)
+    # the lattice must allow n nodes; past a quarter of the n * n_Y points of
+    # the direct sums (a very fine Y) it is measured to be no faster
+    lattice = h is not None and (n - 1) * h <= span < n * len(gY) * h / 4
+
+    fns = [cdf_X] if box else [pdf_X, cdf_X] + ([dpdf_X] if dpdf_X is not None else [])
+    if lattice:
+        m = max(1, int(span / ((n - 1) * h)))
+        start, u_ref = lo, gX.xs[0]
+        if gX.kink_x is not None:
+            # shift the nodes by less than 2h so that X's kink meets Y's grid
+            # on an even node of the parabolic rule at every output node
+            if m > 1:
+                m -= m % 2
+            anchor = gX.kink_x + gY.xs[0]
+            start = anchor + 2 * h * math.floor((lo - anchor) / (2 * h))
+            u_ref = gX.kink_x
+        n_out = int(math.ceil((lo + span - start) / (m * h) - 1e-9)) + 1
+        xs = start + m * h * np.arange(n_out)
+        sums = _lattice_sums(fns, start, u_ref, gY, m, n_out)
+    else:  # direct sums; f_Z' is summed only where it is asked for
+        xs = np.linspace(lo, gX.xs[-1] + gY.xs[-1], n)
+        sums = [_eval_outer(fn, xs, ys, wf) for fn in fns[:2]]
+
+    if box:
+        fs, dpdf_Z = _box_density(gX, gY, xs)
+        return xs, fs, sums[0], dpdf_Z
+    fs, Fs = sums[0], sums[1]
+    if dpdf_X is None:
+        return xs, fs, Fs, None
+
+    def direct_dpdf(x):
+        return _eval_outer(dpdf_X, np.atleast_1d(x), ys, wf)
+
+    if lattice:
+        return xs, fs, Fs, _nodes_or_direct(xs, sums[2], direct_dpdf)
+    return xs, fs, Fs, direct_dpdf
+
+
+def _box_density(gX: GridDensity, gY: GridDensity, xs: np.ndarray):
+    """Closed-form f_Z and f_Z' for a uniform factor Y on [lo, hi].
 
     f_Z(x) = (F_X(x - lo) - F_X(x - hi)) / (hi - lo), and likewise f_Z' from
-    the densities; the CDF comes from averaging F_X over the box by
-    quadrature on Y's grid (its integrand is continuous).
+    the densities.
     """
     lo, hi = gY.uniform_bounds
     width = hi - lo
-    cdf_X = gX.cdf_fn if gX.cdf_fn is not None else gX.cdf
-    pdf_X = gX.pdf_fn if gX.pdf_fn is not None else gX.pdf
+    pdf_X, cdf_X, _ = _x_functions(gX)
     fs = (np.asarray(cdf_X(xs - lo), float) - np.asarray(cdf_X(xs - hi), float)) / width
-    wf = gY.quad_weights * gY.fs
-    Fs = _eval_outer(cdf_X, xs, gY.xs, wf)
 
     def dpdf_Z(x, _p=pdf_X, _lo=lo, _hi=hi, _w=width):
         x = np.asarray(x, dtype=float)
         return (np.asarray(_p(x - _lo), float) - np.asarray(_p(x - _hi), float)) / _w
 
-    return fs, Fs, dpdf_Z
+    return fs, dpdf_Z
 
 
 def upper_tail_at(gX: GridDensity, gY: GridDensity, x) -> np.ndarray | float:
     """1 - F_{X+Y}(x) by direct quadrature of the complementary identity."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    cdf_X = gX.cdf_fn if gX.cdf_fn is not None else gX.cdf
+    _, cdf_X, _ = _x_functions(gX)
     wf = gY.quad_weights * gY.fs
     out = _eval_outer(lambda u: 1.0 - cdf_X(u), x_arr, gY.xs, wf)
     return float(out[0]) if np.isscalar(x) else out
@@ -157,7 +282,7 @@ def weighted_measure(gX: GridDensity, gY: GridDensity, x: float,
     """Tilted copy of Y entering the covariance criterion at anchor x."""
     if kind not in ("lower", "upper"):
         raise ValueError("kind must be 'lower' or 'upper'")
-    cdf_X = gX.cdf_fn if gX.cdf_fn is not None else gX.cdf
+    _, cdf_X, _ = _x_functions(gX)
     Fx = np.asarray(cdf_X(x - gY.xs), dtype=float)
     raw = gY.fs * (Fx if kind == "lower" else 1.0 - Fx)
     normalizer = float(np.sum(quadrature_weights(gY.xs) * raw))
@@ -203,6 +328,32 @@ def _log_density_slope(g: GridDensity) -> np.ndarray:
     return -g.node_derivatives() / g.fs
 
 
+def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
+                        wf: np.ndarray, alive: np.ndarray, a: np.ndarray):
+    """Both covariances at every anchor of ``xs`` in one (anchors x n_Y) pass.
+
+    Returns (cov_lower, cov_upper, usable); an anchor is usable when both
+    tilted measures carry more than ``mass_tol``.  Nodes outside ``alive`` or
+    where the tilt vanishes get zero weight.
+    """
+    pdf_X, cdf_X, _ = _x_functions(gX)
+    u = xs[:, None] - gY.xs[None, :]
+    Fx = np.asarray(cdf_X(u), dtype=float)
+    fx = np.asarray(pdf_X(u), dtype=float)
+    covs, masses = [], []
+    for tilt, sign in ((Fx, 1.0), (1.0 - Fx, -1.0)):
+        live = alive & (tilt > 0.0)
+        w = np.where(live, wf * tilt, 0.0)
+        z = w.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = np.where(live, sign * fx / tilt, 0.0)
+            w = w / z[:, None]
+        covs.append(np.sum(w * a * b, axis=1) - np.sum(w * a, axis=1) * np.sum(w * b, axis=1))
+        masses.append(z)
+    usable = (gX.mass_tol < masses[0]) & (gX.mass_tol < masses[1])
+    return covs[0], covs[1], usable
+
+
 def covariance_criterion(
     gX: GridDensity,
     gY: GridDensity,
@@ -226,34 +377,16 @@ def covariance_criterion(
         xs = gZ.quantile(np.linspace(0.02, 0.98, n_anchors))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
 
-    ys = gY.xs
-    wq = quadrature_weights(ys)
-    cdf_X = gX.cdf_fn if gX.cdf_fn is not None else gX.cdf
-    a_all = _log_density_slope(gY)
+    wq = quadrature_weights(gY.xs)
     alive = gY.fs > density_floor * gY.fs.max()
     excluded = float(np.sum((wq * gY.fs)[~alive]))
-
-    cov_lo, cov_up, kept, skipped = [], [], [], []
-    for x in xs:
-        Fx = np.asarray(cdf_X(x - ys), dtype=float)
-        Sx = 1.0 - Fx
-        w_lo = wq * gY.fs * Fx
-        w_up = wq * gY.fs * Sx
-        m_lo = alive & (Fx > 0.0)
-        m_up = alive & (Sx > 0.0)
-        z_lo = float(w_lo[m_lo].sum())
-        z_up = float(w_up[m_up].sum())
-        if not (gX.mass_tol < z_lo and gX.mass_tol < z_up):
-            skipped.append(float(x))
-            continue
-        a_lo, a_up = a_all[m_lo], a_all[m_up]
-        b_lo = (gX.pdf if gX.pdf_fn is None else gX.pdf_fn)(x - ys[m_lo]) / Fx[m_lo]
-        b_up = -(gX.pdf if gX.pdf_fn is None else gX.pdf_fn)(x - ys[m_up]) / Sx[m_up]
-        wl = w_lo[m_lo] / z_lo
-        wu = w_up[m_up] / z_up
-        cov_lo.append(float(np.sum(wl * a_lo * b_lo) - np.sum(wl * a_lo) * np.sum(wl * b_lo)))
-        cov_up.append(float(np.sum(wu * a_up * b_up) - np.sum(wu * a_up) * np.sum(wu * b_up)))
-        kept.append(float(x))
+    a = np.where(alive, _log_density_slope(gY), 0.0)
+    blocks = [_anchor_covariances(gX, gY, xs[lo:lo + _CHUNK], wq * gY.fs, alive, a)
+              for lo in range(0, max(len(xs), 1), _CHUNK)]  # one block even if empty
+    cov_lo, cov_up, ok = (np.concatenate(parts) for parts in zip(*blocks))
+    kept = xs[ok].tolist()
+    skipped = xs[~ok].tolist()
+    cov_lo, cov_up = cov_lo[ok], cov_up[ok]
 
     if not kept:
         return ConvolutionCriterionReport(
@@ -262,8 +395,6 @@ def covariance_criterion(
             verdict=Verdict.INCONCLUSIVE, tolerance=tolerance,
             skipped=tuple(skipped), excluded_mass=excluded,
         )
-    cov_lo = np.asarray(cov_lo)
-    cov_up = np.asarray(cov_up)
     min_lo = float(cov_lo.min())
     min_up = float(cov_up.min())
     verdict = Verdict.STABLE if min(min_lo, min_up) >= -tolerance else Verdict.UNSTABLE

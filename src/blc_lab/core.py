@@ -158,6 +158,8 @@ def _validate_params(family: str, params: dict):
         fs = np.asarray(params["density_values"], dtype=float)
         _require(xs.ndim == 1 and len(xs) >= 8, "grid needs at least 8 points")
         _require(len(xs) == len(fs), "abscissas/density_values lengths differ")
+        _require(np.all(np.isfinite(xs)) and np.all(np.isfinite(fs)),
+                 "grid abscissas and density values must be finite")
         _require(np.all(np.diff(xs) > 0), "grid abscissas must be strictly increasing")
         _require(np.all(fs >= 0), "grid density values must be >= 0")
 
@@ -342,6 +344,21 @@ def _is_uniform(xs: np.ndarray) -> bool:
     return len(xs) >= 3 and (h.max() - h.min()) <= 1e-9 * h.mean()
 
 
+def _parabolic_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell node triples and parabolic weights (in units of h/12).
+
+    Cell i covers [x_i, x_{i+1}] and integrates the parabola through the
+    triple starting at the even index ``base[i]`` (the last triple for the
+    final cell of an even node count), so no parabola straddles an even-index
+    pair boundary.  Returns ``base`` (n-1,) and ``coef`` (n-1, 3).
+    """
+    i = np.arange(n - 1)
+    base = np.minimum(i - i % 2, n - 3)
+    first = (i == base)[:, None]
+    coef = np.where(first, [5.0, 8.0, -1.0], [-1.0, 8.0, 5.0])
+    return base, coef
+
+
 def quadrature_weights(xs: np.ndarray) -> np.ndarray:
     """Interpolatory quadrature weights: parabolic on uniform grids, else trapezoid.
 
@@ -355,20 +372,10 @@ def quadrature_weights(xs: np.ndarray) -> np.ndarray:
         return trapezoid_weights(xs)
     n = len(xs)
     hh = float(np.diff(xs).mean())
-    w = np.zeros(n)
-    for i in range(n - 1):
-        base = i if i % 2 == 0 else i - 1
-        if base + 2 >= n:
-            base = n - 3
-        if i == base:
-            w[base] += 5.0 * hh / 12.0
-            w[base + 1] += 8.0 * hh / 12.0
-            w[base + 2] -= hh / 12.0
-        else:
-            w[base] -= hh / 12.0
-            w[base + 1] += 8.0 * hh / 12.0
-            w[base + 2] += 5.0 * hh / 12.0
-    return w
+    base, coef = _parabolic_cells(n)
+    # bincount adds the cell contributions in cell order, node by node
+    return np.bincount((base[:, None] + np.arange(3)).ravel(),
+                       weights=(coef * hh / 12.0).ravel(), minlength=n)
 
 
 def cumulative_parabolic(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
@@ -387,19 +394,9 @@ def cumulative_parabolic(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     if n < 3 or (h.max() - h.min()) > 1e-9 * h.mean():
         out[1:] = np.cumsum(0.5 * h * (fs[1:] + fs[:-1]))
         return out
-    hh = h.mean()
-    cell = np.empty(n - 1)
-    # cell i covers [x_i, x_{i+1}]; use the triple starting at an even lower index
-    for i in range(n - 1):
-        base = i if i % 2 == 0 else i - 1
-        if base + 2 >= n:
-            base = n - 3
-        f0, f1, f2 = fs[base], fs[base + 1], fs[base + 2]
-        if i == base:  # first half of the pair
-            cell[i] = hh * (5.0 * f0 + 8.0 * f1 - f2) / 12.0
-        else:  # second half
-            cell[i] = hh * (-f0 + 8.0 * f1 + 5.0 * f2) / 12.0
-    out[1:] = np.cumsum(cell)
+    base, coef = _parabolic_cells(n)
+    cell = coef[:, 0] * fs[base] + coef[:, 1] * fs[base + 1] + coef[:, 2] * fs[base + 2]
+    out[1:] = np.cumsum(h.mean() * cell / 12.0)
     return out
 
 

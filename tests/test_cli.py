@@ -1,9 +1,11 @@
 """Command-line contract: artifacts, exit statuses, determinism."""
 import json
+import math
 
 import numpy as np
 import pytest
 
+import blc_lab.cli as cli
 from blc_lab.cli import main
 
 from conftest import MIX_134, MIX_20, MIX_30
@@ -29,6 +31,10 @@ def specs(tmp_path):
             },
         },
         "bad": {"family": "gaussian", "params": {"mean": 0, "sd": -2}},
+        "inf_density": {"family": "grid", "params": {
+            "abscissas": list(range(10)), "density_values": [1, 1, 1, math.inf] + [1] * 6}},
+        "nan_abscissa": {"family": "grid", "params": {
+            "abscissas": [0, 1, 2, math.nan] + list(range(4, 10)), "density_values": [1] * 10}},
         "gauss2d": {
             "dimension": 2,
             "components": [
@@ -67,6 +73,12 @@ class TestCertifyCommand:
         code = main(["certify", "--spec", specs["bad"], "-o", str(tmp_path / "o")])
         assert code == 3
         assert "sd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["inf_density", "nan_abscissa"])
+    def test_non_finite_grid_is_a_spec_error(self, specs, tmp_path, capsys, name):
+        code = main(["certify", "--spec", specs[name], "-o", str(tmp_path / "o")])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["certify", "--spec", str(tmp_path / "none.json"),
@@ -130,6 +142,20 @@ class TestCriterionCommand:
                      "-o", str(tmp_path / "crit"), "--tol", "1e-6"])
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["0", "1e-6"])
+    def test_tolerance_passed_through(self, specs, tmp_path, monkeypatch, tol):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["tolerance"])
+            return covariance_criterion(*args, **kwargs)
+
+        covariance_criterion = cli.covariance_criterion
+        monkeypatch.setattr(cli, "covariance_criterion", spy)
+        main(["criterion", "--x", specs["logistic"], "--y", specs["logistic"],
+              "-o", str(tmp_path / "crit"), "--n", "512", "--tol", tol])
+        assert seen == [float(tol)]
+
 
 class TestSmoothCommand:
     def test_distances_csv(self, specs, tmp_path):
@@ -143,6 +169,11 @@ class TestSmoothCommand:
         doc = json.loads((out / "smooth.json").read_text())
         assert doc["all_certified"] is True
         assert doc["l1"][0] > doc["l1"][1]
+
+    def test_non_blc_input_exit_one(self, specs, tmp_path, capsys):
+        code = main(["smooth", "--spec", specs["mix30"], "-o", str(tmp_path / "smooth")])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
 
 
 class TestProjectAndScan:

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blc_lab import (
     CertifyOptions,
+    DistributionSpec,
     RequiresCertificateError,
     Status,
     Verdict,
@@ -15,10 +18,12 @@ from blc_lab import (
     convolve,
     covariance_criterion,
     integration_by_parts_check,
+    materialize,
     smooth_sequence,
     upper_tail_at,
     weighted_measure,
 )
+from blc_lab.convolution import _eval_outer, _node_sums, _roles, _spacing, _x_functions
 
 from conftest import (
     GAUSSIAN,
@@ -27,6 +32,7 @@ from conftest import (
     MIX_134,
     MIX_20,
     PROP_PAIRS,
+    UNIFORM01,
     grid_of,
     mixture_spec,
 )
@@ -79,6 +85,93 @@ class TestConvolve:
         b = convolve(logistic, mix134)
         xs = np.linspace(-6, 6, 501)
         assert np.abs(a.pdf(xs) - b.pdf(xs)).max() <= 1e-6
+
+
+    @pytest.mark.parametrize("sx,sy", [
+        (MIX_134, LOGISTIC), (MIX_134, LAPLACE), (LAPLACE, LOGISTIC),
+        (GAUSSIAN, UNIFORM01), (LAPLACE, UNIFORM01), (LAPLACE, mixture_spec(0.5, sd=0.4)),
+    ], ids=lambda s: s.label())
+    def test_argument_order_gives_identical_nodes(self, sx, sy):
+        # the factor roles depend on the factors, not on the argument order
+        for n_x, n_y in ((2048, 2048), (1024, 2048)):
+            gX, gY = grid_of(sx, n=n_x), grid_of(sy, n=n_y)
+            a, b = convolve(gX, gY), convolve(gY, gX)
+            assert np.array_equal(a.xs, b.xs)
+            assert np.array_equal(a.fs, b.fs)
+
+    def test_laplace_mixture_small_grid_both_orders(self):
+        # Laplace given first was the outer factor, its kink fell between the
+        # inner grid's nodes and the mass missed its tolerance; the roles now
+        # put the Laplace factor inside in both orders
+        lap, mix = grid_of(LAPLACE, n=384), grid_of(mixture_spec(0.6, sd=0.6), n=384)
+        for gX, gY in ((lap, mix), (mix, lap)):
+            gZ = convolve(gX, gY)
+            assert abs(gZ.total_mass - 1.0) <= gZ.mass_tol
+
+    def test_off_node_derivative_is_summed_directly(self, mix134, gauss):
+        gZ = convolve(mix134, gauss)
+        gX, gY = _roles(mix134, gauss)
+        mid = 0.5 * (gZ.xs[1:] + gZ.xs[:-1])[gZ.j_lo:gZ.j_hi:97]
+        direct = _eval_outer(gX.dpdf_fn, mid, gY.xs, gY.quad_weights * gY.fs)
+        assert np.array_equal(gZ.density_derivative(mid), direct)
+        assert gZ.density_derivative(float(mid[0])) == pytest.approx(direct[0], rel=1e-14)
+
+    def test_nodes_on_inner_lattice_respect_minimum_count(self, mix134, gauss):
+        # both factors span +-6.1 sd, so the Gaussian's grid is the finer one
+        h = _spacing(gauss)
+        for n in (501, 2048, 3001):
+            gZ = convolve(mix134, gauss, n_points=n)
+            assert n <= len(gZ) <= 2 * n
+            step = (gZ.xs[1] - gZ.xs[0]) / h
+            assert round(step) >= 1 and abs(step - round(step)) <= 1e-9
+
+    def test_direct_sums_when_lattice_does_not_fit(self):
+        # a Y grid too coarse for the requested node count, and one so fine
+        # that its lattice would outgrow the direct sums, both fall back to
+        # n_points evenly spaced nodes
+        mix = grid_of(MIX_134, n=256)
+        for gY, n in ((grid_of(GAUSSIAN, n=256), 1001),
+                      (grid_of(DistributionSpec.gaussian(0.0, 1e-4), n=256), 257)):
+            gZ = convolve(mix, gY, n_points=n)
+            assert len(gZ) == n
+            assert np.allclose(np.diff(gZ.xs), np.diff(gZ.xs)[0])
+            assert abs(gZ.total_mass - 1.0) <= gZ.mass_tol
+
+
+_FAMILIES = ("mixture", "gaussian", "logistic", "laplace", "uniform")
+
+
+@st.composite
+def _factor_specs(draw):
+    family = draw(st.sampled_from(_FAMILIES))
+    c, s = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.3, 2.0))
+    if family == "mixture":
+        return mixture_spec(draw(st.floats(0.0, 1.3)) * s, sd=s, shift=c)
+    if family == "uniform":
+        return DistributionSpec.uniform(c - s, c + s)
+    if family == "gaussian":
+        return DistributionSpec.gaussian(c, s)
+    return getattr(DistributionSpec, family)(c, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sx=_factor_specs(), sy=_factor_specs(), n=st.sampled_from([256, 512]))
+def test_lattice_sums_equal_direct_sums(sx, sy, n):
+    # the FFT pass is the same quadrature as summing over Y's grid directly
+    gX, gY = _roles(materialize(sx, n_points=n), materialize(sy, n_points=n))
+    xs, fs, Fs, dpdf_Z = _node_sums(gX, gY, n + 1)
+    assert len(xs) >= n + 1
+    pdf_X, cdf_X, dpdf_X = _x_functions(gX)
+    wf = gY.quad_weights * gY.fs
+    assert np.abs(Fs - _eval_outer(cdf_X, xs, gY.xs, wf)).max() <= 1e-13
+    if gY.uniform_bounds is None:  # else f_Z and f_Z' are closed forms
+        assert np.abs(fs - _eval_outer(pdf_X, xs, gY.xs, wf)).max() <= 1e-13
+        if gX.kink_x is not None:
+            # the lattice meets X's kink exactly, where f_X' takes its
+            # convention value; x_k - y_j only rounds to it
+            kink, d = gX.kink_x, dpdf_X
+            dpdf_X = lambda u: d(np.where(np.abs(u - kink) <= 1e-9, kink, u))  # noqa: E731
+        assert np.abs(dpdf_Z(xs) - _eval_outer(dpdf_X, xs, gY.xs, wf)).max() <= 1e-13
 
 
 class TestWeightedMeasure:
@@ -145,6 +238,22 @@ class TestCovarianceCriterion:
         assert coarse.verdict is fine.verdict
         assert abs(min(fine.min_lower, fine.min_upper)
                    - min(coarse.min_lower, coarse.min_upper)) <= 5e-3
+
+    def test_covariances_match_weighted_measures(self, mix134, laplace):
+        # each anchor's covariances, taken under the tilted measures of
+        # weighted_measure one anchor at a time
+        xs = np.linspace(-3.0, 3.0, 7)
+        report = covariance_criterion(mix134, laplace, xs=xs)
+        assert np.array_equal(report.xs, xs)
+        a = -laplace.node_derivatives() / laplace.fs
+        for x, cl, cu in zip(xs, report.cov_lower, report.cov_upper):
+            Fx = mix134.cdf_fn(x - laplace.xs)
+            fx = mix134.pdf_fn(x - laplace.xs)
+            for kind, cov, tilt, sign in (("lower", cl, Fx, 1.0), ("upper", cu, 1.0 - Fx, -1.0)):
+                wm = weighted_measure(mix134, laplace, x, kind)
+                b = np.where(tilt > 0, sign * fx / np.where(tilt > 0, tilt, 1.0), 0.0)
+                want = wm.expectation(a * b) - wm.expectation(a) * wm.expectation(b)
+                assert cov == pytest.approx(want, abs=1e-12)
 
     def test_out_of_range_anchors_skipped(self, gauss):
         report = covariance_criterion(gauss, gauss, xs=[-80.0, 80.0])

@@ -15,6 +15,7 @@ from blc_lab import (
     materialize,
     trapezoid_weights,
 )
+from blc_lab.core import quadrature_weights
 
 from conftest import GAUSSIAN, LAPLACE, LOGISTIC, MIX_134, grid_of, two_bump_spec
 
@@ -61,6 +62,17 @@ class TestMaterialize:
             DistributionSpec.grid([0, 1, 2], [1, 1, 1])  # fewer than 8 points
         with pytest.raises(SpecError, match="invalid spec"):
             DistributionSpec.uniform(1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [("abscissas", 3, math.inf),
+                                     ("abscissas", 0, math.nan),
+                                     ("density_values", 3, math.inf),
+                                     ("density_values", 5, math.nan)])
+    def test_non_finite_grid_rejected(self, bad):
+        key, i, value = bad
+        params = {"abscissas": list(range(10)), "density_values": [1.0] * 10}
+        params[key][i] = value
+        with pytest.raises(SpecError, match="finite"):
+            DistributionSpec("grid", params)
 
     def test_spec_json_roundtrip(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -135,6 +147,26 @@ class TestCdfReconstruction:
         g = grid_of(spec, n=4096)
         rebuilt = cumulative_parabolic(g.xs, g.fs)
         assert np.abs(rebuilt - g.Fs).max() <= 1e-7
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 10, 11, 2048, 2049])
+    def test_parabolic_rule_matches_cellwise_loop(self, n):
+        # reference: accumulate each cell's parabola (through the triple at
+        # the even index at or below it, the last triple for a final odd
+        # cell) node by node, in cell order
+        xs = np.linspace(-3.0, 5.0, n)
+        fs = np.cos(xs) + 2.0
+        hh = float(np.diff(xs).mean())
+        w = np.zeros(n)
+        cell = np.zeros(n - 1)
+        for i in range(n - 1):
+            base = min(i - i % 2, n - 3)
+            c = (5.0, 8.0, -1.0) if i == base else (-1.0, 8.0, 5.0)
+            for k in range(3):
+                w[base + k] += c[k] * hh / 12.0
+            cell[i] = hh * sum(c[k] * fs[base + k] for k in range(3)) / 12.0
+        assert np.abs(quadrature_weights(xs) - w).max() <= 1e-15
+        rebuilt = cumulative_parabolic(xs, fs)
+        assert np.abs(rebuilt[1:] - np.cumsum(cell)).max() <= 1e-15
 
     def test_trapezoid_weights_sum(self):
         xs = np.array([0.0, 1.0, 3.0, 4.0])
