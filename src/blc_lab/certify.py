@@ -260,10 +260,15 @@ def certify_blc(g: GridDensity, opts: CertifyOptions = CertifyOptions(),
     if not results:
         raise ValueError("check_set is empty")
     worst = min(results, key=lambda c: c.slack)
-    status = Status.CERTIFIED
-    if any(c.status is Status.VIOLATED for c in results):
-        status = Status.VIOLATED
-    elif any(c.status is Status.INCONCLUSIVE for c in results):
-        status = Status.INCONCLUSIVE
-    return Certificate(status, worst.slack, f"blc:{worst.condition_id}",
-                       opts.tolerance, witness_x=worst.witness_x)
+    return Certificate(combined_status(results), worst.slack,
+                       f"blc:{worst.condition_id}", opts.tolerance,
+                       witness_x=worst.witness_x)
+
+
+def combined_status(certs: Sequence[Certificate]) -> Status:
+    """Verdict of a conjunction: any Violated wins, then any Inconclusive."""
+    statuses = {c.status for c in certs}
+    for status in (Status.VIOLATED, Status.INCONCLUSIVE):
+        if status in statuses:
+            return status
+    return Status.CERTIFIED

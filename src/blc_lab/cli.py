@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -176,11 +175,8 @@ def _cmd_project(args) -> int:
 
 def _cmd_scan_nd(args) -> int:
     m = SymmetricMixtureNd.from_json(args.spec)
-    workers = os.environ.get("BLC_LAB_THREADS")
-    max_workers = max(1, int(workers)) if workers else None
-    scan = weak_star_check(
-        m, args.directions, n_grid=args.n,
-        opts=CertifyOptions(tolerance=args.tol), max_workers=max_workers)
+    scan = weak_star_check(m, args.directions, n_grid=args.n,
+                           opts=CertifyOptions(tolerance=args.tol))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scan.to_csv(out / "scan.csv")
@@ -189,6 +185,7 @@ def _cmd_scan_nd(args) -> int:
         "worst_direction": [float(c) for c in scan.worst_direction],
         "worst_slack": float(scan.slacks().min()),
         "n_directions": int(len(scan.directions)),
+        "resolution_rad": scan.resolution,
     }
     _emit(out, "scan.json", summary)
     return _STATUS_EXIT[scan.verdict]

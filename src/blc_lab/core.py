@@ -262,33 +262,43 @@ def _mixture_family(weights, means, sds):
 
     # symmetric mixtures get their center of symmetry as anchor, others the median
     center = float((w * mu).sum())
-    if _mixture_is_symmetric(w, mu, sd, center):
+    if mirror_closed(w.tolist(), [(m - center,) for m in mu.tolist()],
+                     [(s,) for s in sd.tolist()], tol=1e-12):
         anchor = center
     else:
         anchor = ppf(0.5)
     return _Family(pdf, cdf, ppf, dpdf, anchor)
 
 
-def _mixture_is_symmetric(w, mu, sd, center, tol=1e-12) -> bool:
-    used = np.zeros(len(w), dtype=bool)
-    for i in range(len(w)):
+def mirror_closed(weights, locations, shapes, tol, rtol=0.0) -> bool:
+    """Whether components (w, a, b) pair up with mirror images (w, -a, b).
+
+    Pairing is greedy: each unmatched component takes the first unused
+    component (itself included) that matches.  Weights match within ``tol``;
+    a location row must match the mirrored row, and a shape row the shape
+    row, entrywise as ``numpy.isclose(x, y, atol=tol, rtol=rtol)`` matches x
+    to y.  Locations are taken about the center of symmetry.
+    """
+    mirrors = [[-v for v in a] for a in locations]
+    used = [False] * len(weights)
+    for i, wi in enumerate(weights):
         if used[i]:
             continue
-        matched = False
-        for j in range(len(w)):
-            if used[j] and j != i:
-                continue
-            if (
-                abs(w[j] - w[i]) <= tol
-                and abs((mu[j] - center) + (mu[i] - center)) <= tol
-                and abs(sd[j] - sd[i]) <= tol
-            ):
+        for j, wj in enumerate(weights):
+            if (not used[j] and abs(wj - wi) <= tol
+                    and _isclose(locations[j], mirrors[i], tol, rtol)
+                    and _isclose(shapes[j], shapes[i], tol, rtol)):
                 used[i] = used[j] = True
-                matched = True
                 break
-        if not matched:
+        else:
             return False
     return True
+
+
+def _isclose(xs, ys, atol, rtol) -> bool:
+    # numpy.isclose, scalar by scalar: a few components never pay for arrays
+    return all(x == y or (abs(x - y) <= atol + rtol * abs(y) and math.isfinite(y))
+               for x, y in zip(xs, ys))
 
 
 def _uniform_family(lo, hi):
@@ -531,7 +541,10 @@ class GridDensity:
         return math.sqrt(max(var, 0.0))
 
     def quadrature_mass(self) -> float:
-        """Composite-trapezoid mass of the tabulated density (diagnostic)."""
+        """Mass of the tabulated density under ``quad_weights`` (diagnostic).
+
+        The rule is parabolic on uniform grids and trapezoid otherwise.
+        """
         return float(np.sum(self.quad_weights * self.fs))
 
     # -- export -------------------------------------------------------------

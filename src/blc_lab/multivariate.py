@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .certify import Certificate, CertifyOptions, Status, certify_blc
-from .core import DistributionSpec, GridDensity, SpecError, materialize
+from .certify import (Certificate, CertifyOptions, Status, certify_blc,
+                      combined_status)
+from .core import (DistributionSpec, GridDensity, SpecError, materialize,
+                   mirror_closed)
 from .isoperimetry import IsoProfile, halfspace_profile_1d, weak_blc_ratio_check
 
 EIGENVALUE_FLOOR = 1e-10
@@ -60,7 +61,10 @@ class SymmetricMixtureNd:
             if np.linalg.eigvalsh(S).min() <= EIGENVALUE_FLOOR:
                 raise SpecError(
                     f"invalid spec: covariance {i} below the eigenvalue floor")
-        _check_mirror_closure(w, mu, cov)
+        if not mirror_closed(w.tolist(), mu.tolist(),
+                             cov.reshape(len(w), -1).tolist(), tol=1e-9, rtol=1e-5):
+            raise SpecError(
+                "invalid spec: component set is not closed under x -> -x")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
@@ -96,28 +100,6 @@ class SymmetricMixtureNd:
         ]
         return json.dumps({"dimension": self.dimension, "components": comps},
                           sort_keys=True)
-
-
-def _check_mirror_closure(w, mu, cov, tol=1e-9):
-    used = np.zeros(len(w), dtype=bool)
-    for i in range(len(w)):
-        if used[i]:
-            continue
-        hit = False
-        for j in range(len(w)):
-            if used[j] and j != i:
-                continue
-            if (
-                abs(w[j] - w[i]) <= tol
-                and np.allclose(mu[j], -mu[i], atol=tol)
-                and np.allclose(cov[j], cov[i], atol=tol)
-            ):
-                used[i] = used[j] = True
-                hit = True
-                break
-        if not hit:
-            raise SpecError(
-                "invalid spec: component set is not closed under x -> -x")
 
 
 def direction_set(dimension: int, n_directions: int) -> np.ndarray:
@@ -166,18 +148,45 @@ def project_to_line(m: SymmetricMixtureNd, u: Sequence[float],
     return materialize(spec, n_points=n_grid, **mat_kwargs)
 
 
+def _projections(m: SymmetricMixtureNd, n_directions: int,
+                 n_grid: int) -> Iterator[tuple[np.ndarray, GridDensity]]:
+    """Scanned directions with their projected laws, one grid alive at a time."""
+    if n_directions < 2 * m.dimension:
+        raise ValueError("n_directions must be at least 2 * dimension")
+    for u in direction_set(m.dimension, n_directions):
+        yield u, project_to_line(m, u, n_grid=n_grid)
+
+
 @dataclass(frozen=True)
 class DirectionScan:
-    """Per-direction certificates (and optional profiles) of a half-sphere scan."""
+    """Per-direction certificates of a half-sphere scan."""
 
     directions: np.ndarray
     certificates: tuple[Certificate, ...]
     worst_direction: np.ndarray
     verdict: Status
-    profiles: Optional[tuple[IsoProfile, ...]] = None
 
     def slacks(self) -> np.ndarray:
         return np.array([c.slack for c in self.certificates])
+
+    @property
+    def resolution(self) -> float:
+        """Half the largest angle from a scanned line to its nearest other one.
+
+        Antipodal directions span the same line.  This is pi/(2n) for the
+        planar grid, an estimate of the covering radius for d >= 3, and 0.0
+        when a single line is scanned.
+        """
+        u = self.directions
+        if len(u) < 2:
+            return 0.0
+        nearest = 1.0
+        for lo in range(0, len(u), 256):  # bounded (256, n) blocks of |cos|
+            cos = np.abs(u[lo:lo + 256] @ u.T)
+            rows = np.arange(len(cos))
+            cos[rows, lo + rows] = -1.0
+            nearest = min(nearest, float(cos.max(axis=1).min()))
+        return 0.5 * math.acos(nearest)
 
     def to_csv(self, path):
         d = self.directions.shape[1]
@@ -194,44 +203,20 @@ def weak_star_check(
     n_directions: int,
     n_grid: int = 2048,
     opts: CertifyOptions = CertifyOptions(),
-    ps: Optional[Sequence[float]] = None,
-    max_workers: Optional[int] = None,
 ) -> DirectionScan:
     """Certify bi-log-concavity of every scanned line projection.
 
     The verdict aggregates the per-direction certificates (any violation
     wins, then any inconclusive); ``worst_direction`` minimizes the slack.
-    Profiles are attached when ``ps`` is given.  ``max_workers`` bounds the
-    optional thread pool; the scan is pure and order-independent.
     """
-    if n_directions < 2 * m.dimension:
-        raise ValueError("n_directions must be at least 2 * dimension")
-    dirs = direction_set(m.dimension, n_directions)
-
-    def work(u):
-        g = project_to_line(m, u, n_grid=n_grid)
-        cert = certify_blc(g, opts)
-        prof = halfspace_profile_1d(g, ps) if ps is not None else None
-        return cert, prof
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(work, dirs))
-    else:
-        results = [work(u) for u in dirs]
-
-    certs = tuple(r[0] for r in results)
-    profiles = tuple(r[1] for r in results) if ps is not None else None
-    slacks = np.array([c.slack for c in certs])
-    worst = dirs[int(np.argmin(slacks))]
-    if any(c.status is Status.VIOLATED for c in certs):
-        verdict = Status.VIOLATED
-    elif any(c.status is Status.INCONCLUSIVE for c in certs):
-        verdict = Status.INCONCLUSIVE
-    else:
-        verdict = Status.CERTIFIED
-    return DirectionScan(directions=dirs, certificates=certs,
-                         worst_direction=worst, verdict=verdict, profiles=profiles)
+    dirs, certs = [], []
+    for u, g in _projections(m, n_directions, n_grid):
+        dirs.append(u)
+        certs.append(certify_blc(g, opts))
+    dirs = np.array(dirs)
+    worst = dirs[int(np.argmin([c.slack for c in certs]))]
+    return DirectionScan(directions=dirs, certificates=tuple(certs),
+                         worst_direction=worst, verdict=combined_status(certs))
 
 
 def halfspace_profile_nd(
@@ -239,22 +224,11 @@ def halfspace_profile_nd(
     ps: Sequence[float],
     n_directions: int,
     n_grid: int = 2048,
-    max_workers: Optional[int] = None,
 ) -> IsoProfile:
     """Half-space profile as the directional infimum of projected profiles."""
-    if n_directions < 2 * m.dimension:
-        raise ValueError("n_directions must be at least 2 * dimension")
     ps = np.asarray(ps, dtype=float)
-    dirs = direction_set(m.dimension, n_directions)
-
-    def work(u):
-        return halfspace_profile_1d(project_to_line(m, u, n_grid=n_grid), ps).values
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            stacked = np.array(list(pool.map(work, dirs)))
-    else:
-        stacked = np.array([work(u) for u in dirs])
+    stacked = np.array([halfspace_profile_1d(g, ps).values
+                        for _, g in _projections(m, n_directions, n_grid)])
     return IsoProfile(ps=ps, values=stacked.min(axis=0), kind="halfspace_nd")
 
 
@@ -264,11 +238,9 @@ def weak_blc_check_nd(
     n_directions: int,
     n_grid: int = 2048,
     tolerance: float = 1e-7,
-    max_workers: Optional[int] = None,
 ) -> Certificate:
     """Ratio monotonicity of the scanned half-space profile."""
-    profile = halfspace_profile_nd(m, ps, n_directions, n_grid=n_grid,
-                                   max_workers=max_workers)
+    profile = halfspace_profile_nd(m, ps, n_directions, n_grid=n_grid)
     return weak_blc_ratio_check(profile, tolerance=tolerance)
 
 

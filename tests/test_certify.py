@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blc_lab import (
+    Certificate,
     CertifyOptions,
     DistributionSpec,
     DomainError,
@@ -16,6 +17,7 @@ from blc_lab import (
     check_log_concave,
     materialize,
 )
+from blc_lab.certify import combined_status
 
 from conftest import (
     AGREEMENT_CORPUS,
@@ -147,6 +149,16 @@ class TestCertifyBlc:
         cert = certify_blc(grid_of(MIX_30))
         assert cert.status is Status.VIOLATED
         assert cert.condition_id.startswith("blc:")
+
+    def test_combined_status_precedence(self):
+        def certs(*statuses):
+            return [Certificate(s, 0.0, "test", 1e-7) for s in statuses]
+
+        assert combined_status(certs(Status.INCONCLUSIVE, Status.VIOLATED,
+                                     Status.CERTIFIED)) is Status.VIOLATED
+        assert combined_status(certs(Status.CERTIFIED, Status.INCONCLUSIVE)) \
+            is Status.INCONCLUSIVE
+        assert combined_status(certs(Status.CERTIFIED)) is Status.CERTIFIED
 
     def test_certificate_json_contract(self, gauss):
         doc = certify_blc(gauss).to_dict()

@@ -191,6 +191,7 @@ class TestProjectAndScan:
         assert code == 0
         doc = json.loads((out / "scan.json").read_text())
         assert doc["verdict"] == "Certified"
+        assert doc["resolution_rad"] == pytest.approx(math.pi / 16, abs=1e-12)
         header = (out / "scan.csv").read_text().splitlines()[0]
         assert header == "u_1,u_2,slack,status"
 
@@ -203,11 +204,6 @@ class TestProjectAndScan:
         assert doc["verdict"] == "Violated"
         assert abs(doc["worst_direction"][0]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_thread_env_var(self, specs, tmp_path, monkeypatch):
-        monkeypatch.setenv("BLC_LAB_THREADS", "2")
-        code = main(["scan-nd", "--spec", specs["gauss2d"], "--directions", "8",
-                     "-o", str(tmp_path / "scan")])
-        assert code == 0
 
 
 class TestDeterminism:

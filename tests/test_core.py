@@ -93,6 +93,13 @@ class TestMaterialize:
             assert np.all(g.fs >= 0)
             assert g.j_lo <= g.j_hi
 
+    def test_mixture_symmetry_tolerance(self):
+        # a symmetric mixture puts its center on a node; others their median
+        for dsd, symmetric in ((1e-13, True), (1e-10, False)):
+            spec = DistributionSpec.gaussian_mixture([0.5, 0.5], [-1.0, 1.0],
+                                                     [1.0, 1.0 + dsd])
+            assert (0.0 in materialize(spec).xs) is symmetric
+
 
 class TestCdfQuantile:
     def test_logistic_symmetry_and_clamp(self, logistic):

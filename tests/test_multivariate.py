@@ -12,6 +12,7 @@ from blc_lab import (
     convolve,
     convolve_nd,
     direction_set,
+    halfspace_profile_1d,
     halfspace_profile_nd,
     project_to_line,
     weak_blc_check_nd,
@@ -44,6 +45,11 @@ def gauss2d():
 
 
 @pytest.fixture(scope="module")
+def gauss3d():
+    return std_gaussian_nd(3)
+
+
+@pytest.fixture(scope="module")
 def mix2d_134():
     return axis_mixture_2d(1.34)
 
@@ -59,6 +65,24 @@ class TestConstruction:
             SymmetricMixtureNd(
                 2, np.array([0.5, 0.5]), np.array([[1.0, 0.0], [2.0, 0.0]]),
                 np.array([np.eye(2), np.eye(2)]))
+
+    def test_mirrored_covariance_relative_tolerance(self):
+        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+        def mixture(scale):
+            return SymmetricMixtureNd(
+                2, np.array([0.5, 0.5]), np.array([[1.0, 0.5], [-1.0, -0.5]]),
+                np.array([cov, cov * scale]))
+
+        mixture(1 + 1e-7)
+        with pytest.raises(SpecError, match="closed under"):
+            mixture(1 + 1e-3)
+
+    def test_mirrored_weights_must_match(self):
+        with pytest.raises(SpecError, match="closed under"):
+            SymmetricMixtureNd(
+                2, np.array([0.5 + 5e-7, 0.5 - 5e-7]),
+                np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([np.eye(2), np.eye(2)]))
 
     def test_eigenvalue_floor_enforced(self):
         near_singular = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
@@ -145,10 +169,26 @@ class TestWeakStarScan:
         with pytest.raises(ValueError, match="at least"):
             weak_star_check(gauss2d, 3)
 
-    def test_thread_pool_matches_serial(self, mix2d_134):
-        serial = weak_star_check(mix2d_134, 8)
-        pooled = weak_star_check(mix2d_134, 8, max_workers=4)
-        assert np.allclose(serial.slacks(), pooled.slacks())
+    @pytest.mark.parametrize("name", ["gauss2d", "mix2d_134", "mix2d_30", "gauss3d"])
+    def test_scan_is_per_direction_certification(self, name, request):
+        m = request.getfixturevalue(name)
+        scan = weak_star_check(m, 16)
+        assert np.array_equal(scan.directions, direction_set(m.dimension, 16))
+        for u, cert in zip(scan.directions, scan.certificates):
+            ref = certify_blc(project_to_line(m, u))
+            assert (cert.slack, cert.status, cert.witness_x) == \
+                (ref.slack, ref.status, ref.witness_x)
+        assert np.array_equal(scan.worst_direction,
+                              scan.directions[np.argmin(scan.slacks())])
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_planar_resolution(self, gauss2d, n):
+        scan = weak_star_check(gauss2d, n)
+        assert abs(scan.resolution - math.pi / (2 * n)) <= 1e-12
+
+    def test_resolution_of_single_line_and_sphere(self):
+        assert weak_star_check(std_gaussian_nd(1), 2).resolution == 0.0
+        assert 0.0 < weak_star_check(std_gaussian_nd(3), 64).resolution < math.pi / 8
 
     def test_csv_export(self, tmp_path, gauss2d):
         scan = weak_star_check(gauss2d, 8)
@@ -159,6 +199,14 @@ class TestWeakStarScan:
 
 
 class TestHalfspaceProfileNd:
+    @pytest.mark.parametrize("name", ["gauss2d", "mix2d_134", "mix2d_30", "gauss3d"])
+    def test_infimum_of_projected_profiles(self, name, request):
+        m = request.getfixturevalue(name)
+        per_direction = [halfspace_profile_1d(project_to_line(m, u), PS).values
+                         for u in direction_set(m.dimension, 16)]
+        assert np.array_equal(halfspace_profile_nd(m, PS, 16).values,
+                              np.min(per_direction, axis=0))
+
     def test_gaussian_profile_closed_form(self, gauss2d):
         from scipy.special import ndtri
         prof = halfspace_profile_nd(gauss2d, PS, 16)
