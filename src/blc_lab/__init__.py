@@ -15,9 +15,7 @@ from .core import (
     DomainError,
     GridDensity,
     SpecError,
-    cumulative_parabolic,
     materialize,
-    trapezoid_weights,
 )
 from .certify import (
     Certificate,
@@ -100,7 +98,6 @@ __all__ = [
     "convolve",
     "convolve_nd",
     "covariance_criterion",
-    "cumulative_parabolic",
     "direction_set",
     "halfspace_profile_1d",
     "halfspace_profile_nd",
@@ -110,7 +107,6 @@ __all__ = [
     "poincare_constant",
     "project_to_line",
     "smooth_sequence",
-    "trapezoid_weights",
     "upper_tail_at",
     "variance_functional",
     "weak_blc_check_nd",

@@ -1,16 +1,17 @@
 """Shape-constraint certificates for one-dimensional grid densities.
 
 Bi-log-concavity of a distribution function F (log-concavity of both F and
-1 - F) is checked through three interchangeable lenses:
+1 - F) is certified by :func:`certify_blc` as the conjunction of two lenses:
 
 * hazard monotonicity -- f/(1-F) nondecreasing and f/F nonincreasing;
-* derivative sandwich -- -f^2/(1-F) <= f' <= f^2/F with f > 0;
-* CDF envelope -- exponential upper/lower envelopes of F around anchor
-  points, probed on a finite offset grid (a cross-check of the first two).
+* derivative sandwich -- -f^2/(1-F) <= f' <= f^2/F with f > 0.
 
-Plain log-concavity of the density itself is certified from second
-differences of log f.  Every check reports a signed, scale-free worst-case
-slack; a verdict is Certified when the slack clears ``-tolerance``.
+The CDF envelope -- exponential upper/lower envelopes of F around anchor
+points, probed on a finite offset grid -- is a separate cross-check,
+:func:`check_envelope`.  Plain log-concavity of the density itself is
+certified from second differences of log f by :func:`check_log_concave`.
+Every check reports a signed, scale-free worst-case slack; a verdict is
+Certified when the slack clears ``-tolerance``.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DegenerateDensityError, DomainError, GridDensity
+from .core import MASS_TOL, DegenerateDensityError, DomainError, GridDensity
 
-BOUNDARY_TRIM = 10.0  # multiples of mass_tol excluded next to F=0 and F=1
+BOUNDARY_TRIM = 10.0  # multiples of MASS_TOL excluded next to F=0 and F=1
 
 
 class Status(str, enum.Enum):
@@ -80,25 +81,20 @@ def _verdict(condition_id: str, slack: float, witness: Optional[float],
 
 @dataclass(frozen=True)
 class CertifyOptions:
-    """Knobs shared by the certification checks.
+    """Settings shared by the certification checks.
 
-    ``envelope_t_grid`` defaults to 21 offsets spanning +-3 standard
-    deviations of the tested distribution.  ``check_set`` selects which
-    conditions :func:`certify_blc` combines; the envelope check is a
-    cross-check and not part of the default conjunction.
+    A check reports a violation when its slack is below ``-tolerance``.
+    ``envelope_t_grid`` is read by :func:`check_envelope` only and defaults
+    to 21 offsets spanning +-3 standard deviations of the tested
+    distribution.
     """
 
     tolerance: float = 1e-7
     envelope_t_grid: Optional[np.ndarray] = None
-    check_set: tuple[str, ...] = ("hazard", "sandwich")
 
     def __post_init__(self):
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
-        known = {"hazard", "sandwich", "envelope", "log_concave"}
-        bad = set(self.check_set) - known
-        if bad:
-            raise ValueError(f"unknown checks in check_set: {sorted(bad)}")
         if self.envelope_t_grid is not None:
             grid = np.asarray(self.envelope_t_grid, dtype=float)
             if grid.size == 0:
@@ -107,8 +103,8 @@ class CertifyOptions:
 
 
 def _trimmed_range(g: GridDensity) -> slice:
-    """Node range where F is at least BOUNDARY_TRIM*mass_tol away from 0 and 1."""
-    lo = BOUNDARY_TRIM * g.mass_tol
+    """Node range where F is at least BOUNDARY_TRIM*MASS_TOL away from 0 and 1."""
+    lo = BOUNDARY_TRIM * MASS_TOL
     inside = np.nonzero((g.Fs >= lo) & (g.Fs <= 1.0 - lo))[0]
     if len(inside) == 0:
         raise DegenerateDensityError("degenerate density: no nodes clear of the CDF boundary")
@@ -141,12 +137,12 @@ def check_derivative_sandwich(g: GridDensity,
     """Two-sided bound -f^2/(1-F) <= f' <= f^2/F on the trimmed J(F) nodes.
 
     Margins are normalized by the bounding term, so the slack is the relative
-    room each inequality had.  A vanishing density at an interior node breaks
-    the strict-positivity requirement and forces a violation outright.
+    room each inequality had.  A node density at most MASS_TOL times the
+    maximum breaks strict positivity and forces a violation outright.
     """
     sl = _trimmed_range(g)
     xs, fs, Fs = g.xs[sl], g.fs[sl], g.Fs[sl]
-    dead = fs <= g.mass_tol
+    dead = fs <= MASS_TOL * g.fs.max()
     if np.any(dead):
         witness = float(xs[int(np.argmax(dead))])
         return Certificate(Status.VIOLATED, -1.0, "derivative_sandwich",
@@ -234,31 +230,13 @@ def check_log_concave(g: GridDensity,
     return _verdict("log_concavity", slack, float(xs[k + 1]), opts.tolerance)
 
 
-_CHECK_FNS = {
-    "hazard": check_hazards,
-    "sandwich": check_derivative_sandwich,
-    "log_concave": check_log_concave,
-}
+def certify_blc(g: GridDensity, opts: CertifyOptions = CertifyOptions()) -> Certificate:
+    """Bi-log-concavity as the conjunction of the hazard and sandwich checks.
 
-
-def certify_blc(g: GridDensity, opts: CertifyOptions = CertifyOptions(),
-                anchors: Optional[Sequence[float]] = None) -> Certificate:
-    """Conjunction of the configured bi-log-concavity checks.
-
-    The returned certificate carries the worst slack across the requested
-    conditions and names the condition that produced it.  ``anchors`` feeds
-    the envelope check when it is part of ``check_set`` (default: the nine
-    deciles).
+    The returned certificate carries the worst slack of the two conditions
+    and names the condition that produced it.
     """
-    results = []
-    for name in opts.check_set:
-        if name == "envelope":
-            pts = anchors if anchors is not None else g.quantile(np.linspace(0.1, 0.9, 9))
-            results.append(check_envelope(g, pts, opts))
-        else:
-            results.append(_CHECK_FNS[name](g, opts))
-    if not results:
-        raise ValueError("check_set is empty")
+    results = [check_hazards(g, opts), check_derivative_sandwich(g, opts)]
     worst = min(results, key=lambda c: c.slack)
     return Certificate(combined_status(results), worst.slack,
                        f"blc:{worst.condition_id}", opts.tolerance,

@@ -42,6 +42,7 @@ from scipy.fft import next_fast_len
 
 from .certify import Certificate, CertifyOptions, Status, certify_blc
 from .core import (
+    MASS_TOL,
     DegenerateDensityError,
     DistributionSpec,
     DomainError,
@@ -85,18 +86,19 @@ def _roles(gX: GridDensity, gY: GridDensity) -> tuple[GridDensity, GridDensity]:
 
     A uniform factor goes to Y, where its box is handled in closed form.
     Between two analytic factors on uniform grids a kinked one (Laplace) goes
-    to Y, so its kink sits on an even node of the parabolic rule; otherwise
-    the finer grid does.  The choice depends on the factors only, so both
-    argument orders give the same nodes.
+    to Y, so its kink sits on an even node of the parabolic rule; otherwise,
+    and between two uniform factors, the finer grid does, and on equal
+    spacing the grid further left.  The choice depends on the factors only,
+    so both argument orders give identical results; a tabulated factor
+    without a box keeps the argument order.
     """
-    if gX.uniform_bounds is not None:
-        return gY, gX
-    if gY.uniform_bounds is not None:
-        return gX, gY
-    hX, hY = _spacing(gX), _spacing(gY)
+    def key(g):  # the factor with the smaller key becomes Y
+        return (g.uniform_bounds is None, g.kink_x is None, _spacing(g), float(g.xs[0]))
+
+    box = gX.uniform_bounds is not None or gY.uniform_bounds is not None
     analytic = all(g.pdf_fn is not None and g.cdf_fn is not None for g in (gX, gY))
-    if analytic and hX is not None and hY is not None \
-            and (gX.kink_x is None, hX) < (gY.kink_x is None, hY):
+    uniform_grids = _spacing(gX) is not None and _spacing(gY) is not None
+    if (box or (analytic and uniform_grids)) and key(gX) < key(gY):
         return gY, gX
     return gX, gY
 
@@ -172,10 +174,9 @@ def convolve(gX: GridDensity, gY: GridDensity,
     Fs = np.maximum.accumulate(np.clip(Fs, 0.0, 1.0))
     fs = np.maximum(fs, 0.0)
     total = float(np.sum(quadrature_weights(xs) * fs))
-    j_lo, j_hi = _j_range(Fs, gX.mass_tol)
+    j_lo, j_hi = _j_range(Fs)
     return GridDensity(
-        xs=xs, fs=fs, Fs=Fs, j_lo=j_lo, j_hi=j_hi,
-        total_mass=total, mass_tol=gX.mass_tol,
+        xs=xs, fs=fs, Fs=Fs, j_lo=j_lo, j_hi=j_hi, total_mass=total,
         label=f"conv[{gX.label},{gY.label}]", dpdf_fn=dpdf_Z,
     )
 
@@ -285,8 +286,8 @@ def weighted_measure(gX: GridDensity, gY: GridDensity, x: float,
     _, cdf_X, _ = _x_functions(gX)
     Fx = np.asarray(cdf_X(x - gY.xs), dtype=float)
     raw = gY.fs * (Fx if kind == "lower" else 1.0 - Fx)
-    normalizer = float(np.sum(quadrature_weights(gY.xs) * raw))
-    if not (gX.mass_tol < normalizer < 1.0):
+    normalizer = float(np.sum(gY.quad_weights * raw))
+    if not (MASS_TOL < normalizer < 1.0):
         raise DomainError("outside J(F): anchor carries no usable mass")
     return WeightedMeasure(anchor_x=float(x), ys=gY.xs, weights=raw / normalizer,
                            normalizer=normalizer, kind=kind)
@@ -323,17 +324,12 @@ class ConvolutionCriterionReport:
         return json.dumps(self.summary(), sort_keys=True)
 
 
-def _log_density_slope(g: GridDensity) -> np.ndarray:
-    """(-log f)' at the grid nodes, analytic when available."""
-    return -g.node_derivatives() / g.fs
-
-
 def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
                         wf: np.ndarray, alive: np.ndarray, a: np.ndarray):
     """Both covariances at every anchor of ``xs`` in one (anchors x n_Y) pass.
 
     Returns (cov_lower, cov_upper, usable); an anchor is usable when both
-    tilted measures carry more than ``mass_tol``.  Nodes outside ``alive`` or
+    tilted measures carry more than ``MASS_TOL``.  Nodes outside ``alive`` or
     where the tilt vanishes get zero weight.
     """
     pdf_X, cdf_X, _ = _x_functions(gX)
@@ -350,7 +346,7 @@ def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
             w = w / z[:, None]
         covs.append(np.sum(w * a * b, axis=1) - np.sum(w * a, axis=1) * np.sum(w * b, axis=1))
         masses.append(z)
-    usable = (gX.mass_tol < masses[0]) & (gX.mass_tol < masses[1])
+    usable = (MASS_TOL < masses[0]) & (MASS_TOL < masses[1])
     return covs[0], covs[1], usable
 
 
@@ -359,7 +355,6 @@ def covariance_criterion(
     gY: GridDensity,
     xs: Optional[Sequence[float]] = None,
     tolerance: float = 1e-6,
-    density_floor: float = 1e-12,
     n_anchors: int = 41,
     gZ: Optional[GridDensity] = None,
 ) -> ConvolutionCriterionReport:
@@ -367,9 +362,9 @@ def covariance_criterion(
 
     Anchors default to ``n_anchors`` quantiles of F_{X+Y} between 0.02 and
     0.98 (pass ``gZ`` to reuse an existing convolution).  Nodes where f_Y
-    falls below ``density_floor`` times its maximum are excluded from the
-    quadrature together with their (negligible) weight, which is reported;
-    anchors whose tilted measures carry no mass are skipped.
+    falls below 1e-12 times its maximum are excluded from the quadrature
+    together with their (negligible) weight, which is reported; anchors
+    whose tilted measures carry no mass are skipped.
     """
     if xs is None:
         if gZ is None:
@@ -377,10 +372,10 @@ def covariance_criterion(
         xs = gZ.quantile(np.linspace(0.02, 0.98, n_anchors))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
 
-    wq = quadrature_weights(gY.xs)
-    alive = gY.fs > density_floor * gY.fs.max()
+    wq = gY.quad_weights
+    alive = gY.fs > 1e-12 * gY.fs.max()
     excluded = float(np.sum((wq * gY.fs)[~alive]))
-    a = np.where(alive, _log_density_slope(gY), 0.0)
+    a = np.where(alive, -gY.node_derivatives() / gY.fs, 0.0)  # a = (-log f_Y)'
     blocks = [_anchor_covariances(gX, gY, xs[lo:lo + _CHUNK], wq * gY.fs, alive, a)
               for lo in range(0, max(len(xs), 1), _CHUNK)]  # one block even if empty
     cov_lo, cov_up, ok = (np.concatenate(parts) for parts in zip(*blocks))
@@ -438,14 +433,13 @@ def check_convolution_blc_consistency(
 def integration_by_parts_check(
     nu: GridDensity,
     test_g: Union[Callable, Sequence[float]],
-    decay_tol: float = 1e-6,
 ) -> tuple[float, float]:
     """Compare E[g'] with cov(g, phi') for phi = -log(density of nu).
 
     Returns the two quadrature values (lhs, rhs).  The identity needs the
     boundary-decay hypothesis f(x) (g(x) - E[g]) -> 0 at the grid edges,
-    which is checked numerically; densities vanishing at an interior node
-    leave phi' undefined and are rejected.
+    which is checked numerically (|f (g - E[g])| <= 1e-6 there); densities
+    vanishing at an interior node leave phi' undefined and are rejected.
     """
     if callable(test_g):
         gv = np.asarray(test_g(nu.xs), dtype=float)
@@ -462,7 +456,7 @@ def integration_by_parts_check(
     mean_g = float(np.sum(w * gv))
     for edge in (0, -1):
         decay = abs(nu.fs[edge] * (gv[edge] - mean_g))
-        if decay > decay_tol:
+        if decay > 1e-6:
             raise ValueError(
                 f"boundary decay violated: |f (g - E[g])| = {decay:.3g} at grid edge")
 
@@ -489,15 +483,15 @@ class SmoothingStep:
 def smooth_sequence(
     g: GridDensity,
     sigmas: Sequence[float],
-    p_norms: Sequence[Union[int, float, str]] = (1, 2, math.inf),
     certificate: Optional[Certificate] = None,
     opts: Optional[CertifyOptions] = None,
 ) -> list[SmoothingStep]:
     """Convolve with shrinking centered Gaussians and track L_p distances.
 
     Each smoothed density must itself certify (convolution with a log-concave
-    factor preserves the shape constraint); distances to the original density
-    are reported per requested norm and decrease along the sequence.
+    factor preserves the shape constraint); its L_1, L_2 and L_inf distances
+    to the original density, keyed "1", "2" and "inf", decrease along the
+    sequence.
     """
     sigmas = [float(s) for s in sigmas]
     if any(s <= 0 for s in sigmas):
@@ -513,17 +507,12 @@ def smooth_sequence(
         smoothed = convolve(g, kernel)
         cert = certify_blc(smoothed, cert_opts)
         diff = smoothed.fs - np.asarray(g.pdf(smoothed.xs), dtype=float)
-        w = quadrature_weights(smoothed.xs)
-        distances = {}
-        for p in p_norms:
-            if p in (1, "1"):
-                distances["1"] = float(np.sum(w * np.abs(diff)))
-            elif p in (2, "2"):
-                distances["2"] = float(math.sqrt(np.sum(w * diff**2)))
-            elif p in (math.inf, "inf"):
-                distances["inf"] = float(np.max(np.abs(diff)))
-            else:
-                raise ValueError(f"unsupported norm {p!r}")
+        w = smoothed.quad_weights
+        distances = {
+            "1": float(np.sum(w * np.abs(diff))),
+            "2": float(math.sqrt(np.sum(w * diff**2))),
+            "inf": float(np.max(np.abs(diff))),
+        }
         steps.append(SmoothingStep(sigma=s, density=smoothed,
                                    certificate=cert, distances=distances))
     return steps

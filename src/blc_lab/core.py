@@ -44,7 +44,15 @@ class DomainError(ValueError):
 # distribution specifications
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("gaussian", "logistic", "laplace", "gaussian_mixture", "grid", "uniform")
+# the parameters each family needs; every one of them must be finite
+_FAMILIES = {
+    "gaussian": ("mean", "sd"),
+    "logistic": ("location", "scale"),
+    "laplace": ("location", "scale"),
+    "gaussian_mixture": ("weights", "means", "sds"),
+    "grid": ("abscissas", "density_values"),
+    "uniform": ("lo", "hi"),
+}
 
 
 @dataclass(frozen=True)
@@ -131,35 +139,29 @@ def _require(cond: bool, msg: str):
 
 
 def _validate_params(family: str, params: dict):
-    if family == "gaussian":
-        _require("mean" in params and "sd" in params, "gaussian needs mean, sd")
-        _require(float(params["sd"]) > 0, "gaussian sd must be > 0")
-    elif family in ("logistic", "laplace"):
-        _require("location" in params and "scale" in params, f"{family} needs location, scale")
-        _require(float(params["scale"]) > 0, f"{family} scale must be > 0")
+    keys = _FAMILIES[family]
+    _require(all(key in params for key in keys), f"{family} needs {', '.join(keys)}")
+    try:
+        values = [np.asarray(params[key], dtype=float) for key in keys]
+    except (TypeError, ValueError) as exc:  # not numbers, or a ragged list
+        raise SpecError(f"invalid spec: {family} parameters must be numbers") from exc
+    _require(all(np.isfinite(v).all() for v in values), f"{family} parameters must be finite")
+    if family in ("gaussian", "logistic", "laplace"):
+        _require(values[1] > 0, f"{family} {keys[1]} must be > 0")
     elif family == "uniform":
-        _require("lo" in params and "hi" in params, "uniform needs lo, hi")
-        _require(float(params["hi"]) > float(params["lo"]), "uniform needs hi > lo")
+        lo, hi = values
+        _require(hi > lo, "uniform needs hi > lo")
     elif family == "gaussian_mixture":
-        for key in ("weights", "means", "sds"):
-            _require(key in params, f"gaussian_mixture needs {key}")
-        w = np.asarray(params["weights"], dtype=float)
-        mu = np.asarray(params["means"], dtype=float)
-        sd = np.asarray(params["sds"], dtype=float)
+        w, mu, sd = values
         _require(w.ndim == 1 and len(w) >= 1, "weights must be a nonempty vector")
         _require(len(w) == len(mu) == len(sd), "weights/means/sds lengths differ")
         _require(np.all(w >= 0), "mixture weights must be >= 0")
         _require(abs(w.sum() - 1.0) <= 1e-12, "mixture weights must sum to 1 within 1e-12")
         _require(np.all(sd > 0), "mixture sds must be > 0")
     elif family == "grid":
-        for key in ("abscissas", "density_values"):
-            _require(key in params, f"grid needs {key}")
-        xs = np.asarray(params["abscissas"], dtype=float)
-        fs = np.asarray(params["density_values"], dtype=float)
+        xs, fs = values
         _require(xs.ndim == 1 and len(xs) >= 8, "grid needs at least 8 points")
         _require(len(xs) == len(fs), "abscissas/density_values lengths differ")
-        _require(np.all(np.isfinite(xs)) and np.all(np.isfinite(fs)),
-                 "grid abscissas and density values must be finite")
         _require(np.all(np.diff(xs) > 0), "grid abscissas must be strictly increasing")
         _require(np.all(fs >= 0), "grid density values must be >= 0")
 
@@ -340,7 +342,7 @@ def _make_family(spec: DistributionSpec) -> Optional[_Family]:
 # ---------------------------------------------------------------------------
 
 
-def trapezoid_weights(xs: np.ndarray) -> np.ndarray:
+def _trapezoid_weights(xs: np.ndarray) -> np.ndarray:
     """Composite-trapezoid quadrature weights for a (possibly non-uniform) grid."""
     dx = np.diff(xs)
     w = np.zeros_like(xs)
@@ -379,7 +381,7 @@ def quadrature_weights(xs: np.ndarray) -> np.ndarray:
     """
     xs = np.asarray(xs, float)
     if not _is_uniform(xs):
-        return trapezoid_weights(xs)
+        return _trapezoid_weights(xs)
     n = len(xs)
     hh = float(np.diff(xs).mean())
     base, coef = _parabolic_cells(n)
@@ -388,25 +390,28 @@ def quadrature_weights(xs: np.ndarray) -> np.ndarray:
                        weights=(coef * hh / 12.0).ravel(), minlength=n)
 
 
+def _cumulative_trapezoid(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral of tabulated values, 0 at the first node."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(xs) * (fs[1:] + fs[:-1]))))
+
+
 def cumulative_parabolic(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """Cumulative integral of tabulated values, fourth-order on uniform grids.
 
     Per-cell integrals use the parabola through the nearest node triple, never
     straddling an even-index pair boundary, so a kink placed on an even index
     does not degrade the rate.  Falls back to cumulative trapezoid when the
-    grid is visibly non-uniform.
+    grid is not uniform.
     """
     xs = np.asarray(xs, float)
     fs = np.asarray(fs, float)
+    if not _is_uniform(xs):
+        return _cumulative_trapezoid(xs, fs)
     n = len(xs)
-    h = np.diff(xs)
-    out = np.zeros(n)
-    if n < 3 or (h.max() - h.min()) > 1e-9 * h.mean():
-        out[1:] = np.cumsum(0.5 * h * (fs[1:] + fs[:-1]))
-        return out
     base, coef = _parabolic_cells(n)
     cell = coef[:, 0] * fs[base] + coef[:, 1] * fs[base + 1] + coef[:, 2] * fs[base + 2]
-    out[1:] = np.cumsum(h.mean() * cell / 12.0)
+    out = np.zeros(n)
+    out[1:] = np.cumsum(np.diff(xs).mean() * cell / 12.0)
     return out
 
 
@@ -430,7 +435,6 @@ class GridDensity:
     j_lo: int
     j_hi: int
     total_mass: float
-    mass_tol: float = MASS_TOL
     label: str = "grid"
     pdf_fn: Optional[Callable] = field(default=None, repr=False)
     cdf_fn: Optional[Callable] = field(default=None, repr=False)
@@ -449,10 +453,10 @@ class GridDensity:
             raise SpecError("invalid spec: density values must be >= 0")
         if np.any(np.diff(Fs) < -1e-12):
             raise SpecError("invalid spec: CDF values must be nondecreasing")
-        if abs(self.total_mass - 1.0) > self.mass_tol:
+        if abs(self.total_mass - 1.0) > MASS_TOL:
             raise DegenerateDensityError(
                 f"degenerate density: total mass {self.total_mass:.6g} not within "
-                f"{self.mass_tol:g} of 1"
+                f"{MASS_TOL:g} of 1"
             )
         if self.j_lo > self.j_hi:
             raise DegenerateDensityError("degenerate density: J(F) empty")
@@ -502,32 +506,26 @@ class GridDensity:
     def in_J(self, x) -> bool:
         return self.xs[self.j_lo] <= x <= self.xs[self.j_hi]
 
-    def density_derivative(self, x, method: str = "auto") -> np.ndarray | float:
+    def density_derivative(self, x) -> np.ndarray | float:
         """Derivative of the density, analytic when the family provides one.
 
-        ``method`` is one of ``auto`` (analytic if available, else finite
-        differences), ``analytic``, ``fd``.
+        Without ``dpdf_fn`` it is interpolated from finite differences at the
+        nodes.
         """
         x_arr = np.asarray(x, dtype=float)
         lo, hi = self.xs[self.j_lo], self.xs[self.j_hi]
         if np.any((x_arr < lo) | (x_arr > hi)):
             raise DomainError("outside J(F)")
-        if method not in ("auto", "analytic", "fd"):
-            raise ValueError(f"unknown method {method!r}")
-        if method == "analytic" and self.dpdf_fn is None:
-            raise ValueError("no analytic derivative available")
-        if method in ("auto", "analytic") and self.dpdf_fn is not None:
+        if self.dpdf_fn is not None:
             out = self.dpdf_fn(x_arr)
         else:
             out = np.interp(x_arr, self.xs, self._fd_derivs)
         return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
-    def node_derivatives(self, method: str = "auto") -> np.ndarray:
-        """Density derivative at every grid node."""
-        if method in ("auto", "analytic") and self.dpdf_fn is not None:
+    def node_derivatives(self) -> np.ndarray:
+        """Density derivative at every grid node, analytic when available."""
+        if self.dpdf_fn is not None:
             return np.asarray(self.dpdf_fn(self.xs), dtype=float)
-        if method == "analytic":
-            raise ValueError("no analytic derivative available")
         return self._fd_derivs
 
     # -- moments ------------------------------------------------------------
@@ -556,8 +554,8 @@ class GridDensity:
                 fh.write(f"{x:.12g},{f:.12g},{F:.12g}\n")
 
 
-def _j_range(Fs: np.ndarray, mass_tol: float) -> tuple[int, int]:
-    inside = np.nonzero((Fs > mass_tol) & (Fs < 1.0 - mass_tol))[0]
+def _j_range(Fs: np.ndarray) -> tuple[int, int]:
+    inside = np.nonzero((Fs > MASS_TOL) & (Fs < 1.0 - MASS_TOL))[0]
     if len(inside) == 0:
         raise DegenerateDensityError("degenerate density: J(F) empty")
     return int(inside[0]), int(inside[-1])
@@ -567,7 +565,6 @@ def materialize(
     spec: DistributionSpec,
     n_points: int = 2048,
     coverage: float = DEFAULT_COVERAGE,
-    mass_tol: float = MASS_TOL,
 ) -> GridDensity:
     """Tabulate a distribution spec onto a grid.
 
@@ -584,17 +581,16 @@ def materialize(
     if spec.family == "grid":
         xs = np.asarray(spec.params["abscissas"], dtype=float)
         fs = np.asarray(spec.params["density_values"], dtype=float)
-        w = trapezoid_weights(xs)
-        mass = float(np.sum(w * fs))
+        mass = float(np.sum(_trapezoid_weights(xs) * fs))
         if mass <= 0.0:
             raise DegenerateDensityError("degenerate density: zero total mass")
         fs = fs / mass
-        Fs = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(xs) * (fs[1:] + fs[:-1]))))
+        Fs = _cumulative_trapezoid(xs, fs)
         Fs = np.clip(Fs / Fs[-1], 0.0, 1.0)
-        j_lo, j_hi = _j_range(Fs, mass_tol)
+        j_lo, j_hi = _j_range(Fs)
         return GridDensity(
             xs=xs, fs=fs, Fs=Fs, j_lo=j_lo, j_hi=j_hi,
-            total_mass=1.0, mass_tol=mass_tol, label=spec.label(),
+            total_mass=1.0, label=spec.label(),
         )
 
     fam = _make_family(spec)
@@ -604,10 +600,10 @@ def materialize(
         xs = np.linspace(lo, hi, n_points)
         fs = np.full(n_points, 1.0 / (hi - lo))
         Fs = (xs - lo) / (hi - lo)
-        j_lo, j_hi = _j_range(Fs, mass_tol)
+        j_lo, j_hi = _j_range(Fs)
         return GridDensity(
             xs=xs, fs=fs, Fs=Fs, j_lo=j_lo, j_hi=j_hi,
-            total_mass=1.0, mass_tol=mass_tol, label=spec.label(),
+            total_mass=1.0, label=spec.label(),
             pdf_fn=fam.pdf, cdf_fn=fam.cdf, dpdf_fn=fam.dpdf,
             uniform_bounds=(lo, hi),
         )
@@ -629,7 +625,7 @@ def materialize(
         raise DegenerateDensityError("degenerate density: window carries no mass")
     fs = np.asarray(fam.pdf(xs), dtype=float) / Z
     Fs = np.clip((F_raw - F_raw[0]) / Z, 0.0, 1.0)
-    j_lo, j_hi = _j_range(Fs, mass_tol)
+    j_lo, j_hi = _j_range(Fs)
 
     def pdf_scaled(x, _pdf=fam.pdf, _Z=Z):
         return _pdf(x) / _Z
@@ -643,6 +639,6 @@ def materialize(
     kink = anchor if spec.family == "laplace" else None
     return GridDensity(
         xs=xs, fs=fs, Fs=Fs, j_lo=j_lo, j_hi=j_hi,
-        total_mass=1.0, mass_tol=mass_tol, label=spec.label(),
+        total_mass=1.0, label=spec.label(),
         pdf_fn=pdf_scaled, cdf_fn=cdf_scaled, dpdf_fn=dpdf_scaled, kink_x=kink,
     )

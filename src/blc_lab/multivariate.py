@@ -49,10 +49,12 @@ class SymmetricMixtureNd:
         d = int(self.dimension)
         if d < 1:
             raise SpecError("invalid spec: dimension must be >= 1")
-        if mu.ndim != 2 or mu.shape[1] != d:
-            raise SpecError("invalid spec: means must be k x d")
+        if mu.shape != (len(w), d):
+            raise SpecError("invalid spec: means must be k x d, one row per weight")
         if cov.shape != (len(w), d, d):
             raise SpecError("invalid spec: covariances must be k x d x d")
+        if not all(np.isfinite(a).all() for a in (w, mu, cov)):
+            raise SpecError("invalid spec: weights, means and covariances must be finite")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise SpecError("invalid spec: weights must be a probability vector")
         for i, S in enumerate(cov):
@@ -85,13 +87,12 @@ class SymmetricMixtureNd:
         try:
             d = int(doc["dimension"])
             comps = doc["components"]
-            w = [c["weight"] for c in comps]
-            mu = [c["mean"] for c in comps]
-            cov = [c["cov"] for c in comps]
-        except (KeyError, TypeError) as exc:
+            w = np.asarray([c["weight"] for c in comps], float)
+            mu = np.asarray([c["mean"] for c in comps], float)
+            cov = np.asarray([c["cov"] for c in comps], float)
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged arrays
             raise SpecError(f"invalid spec: {exc}") from exc
-        return SymmetricMixtureNd(d, np.asarray(w, float),
-                                  np.asarray(mu, float), np.asarray(cov, float))
+        return SymmetricMixtureNd(d, w, mu, cov)
 
     def to_json(self) -> str:
         comps = [
@@ -134,7 +135,7 @@ def direction_set(dimension: int, n_directions: int) -> np.ndarray:
 
 
 def project_to_line(m: SymmetricMixtureNd, u: Sequence[float],
-                    n_grid: int = 2048, **mat_kwargs) -> GridDensity:
+                    n_grid: int = 2048) -> GridDensity:
     """Law of Y.u for Y ~ m: a symmetric 1-D Gaussian mixture, materialized."""
     u = np.asarray(u, dtype=float)
     norm = float(np.linalg.norm(u))
@@ -145,7 +146,7 @@ def project_to_line(m: SymmetricMixtureNd, u: Sequence[float],
     variances = np.einsum("i,kij,j->k", u, m.covariances, u)
     spec = DistributionSpec.gaussian_mixture(
         m.weights, means, np.sqrt(np.maximum(variances, EIGENVALUE_FLOOR)))
-    return materialize(spec, n_points=n_grid, **mat_kwargs)
+    return materialize(spec, n_points=n_grid)
 
 
 def _projections(m: SymmetricMixtureNd, n_directions: int,

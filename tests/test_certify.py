@@ -145,6 +145,12 @@ class TestCertifyBlc:
         assert cert.status is Status.VIOLATED
         assert cert.witness_x is not None
 
+    @pytest.mark.parametrize("sd", [1e-4, 1e5])
+    def test_verdict_does_not_depend_on_the_unit(self, sd):
+        # a density below MASS_TOL in absolute terms is not a vanishing one
+        g = grid_of(DistributionSpec.gaussian(0.0, sd))
+        assert certify_blc(g).status is Status.CERTIFIED
+
     def test_condition_id_names_worst_check(self, mix30):
         cert = certify_blc(grid_of(MIX_30))
         assert cert.status is Status.VIOLATED
@@ -218,6 +224,29 @@ class TestAffineInvariance:
             base = certify_blc(grid_of(spec)).status
             mapped = certify_blc(grid_of(affine_spec(spec, a, b))).status
             assert base is mapped, spec.label()
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["gaussian", "logistic", "laplace", "mixture"]),
+       c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0), d=st.floats(0.0, 2.0),
+       w=st.floats(0.2, 0.8), a=st.floats(0.2, 5.0), flip=st.booleans(),
+       b=st.floats(-5.0, 5.0), n=st.sampled_from([256, 1024]))
+def test_slack_invariant_under_affine_maps(family, c, s, d, w, a, flip, b, n):
+    if family == "mixture":
+        spec = DistributionSpec.gaussian_mixture([w, 1 - w], [c - d, c + d], [s, 0.5 * s + 0.3])
+    elif family == "gaussian":
+        spec = DistributionSpec.gaussian(c, s)
+    else:
+        spec = getattr(DistributionSpec, family)(c, s)
+    # a reflection lays the window out from the other tail, which only a
+    # symmetric law maps onto its own grid; mixtures are mapped by a > 0
+    if flip and family != "mixture":
+        a = -a
+    base = certify_blc(materialize(spec, n_points=n))
+    mapped = certify_blc(materialize(affine_spec(spec, a, b), n_points=n))
+    assert mapped.status is base.status
+    # deep refutations reach slacks of order 1e6, where 1e-9 is below rounding
+    assert abs(mapped.slack - base.slack) <= 1e-9 * max(1.0, abs(base.slack))
 
 
 @settings(max_examples=20, deadline=None)

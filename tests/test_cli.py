@@ -35,6 +35,17 @@ def specs(tmp_path):
             "abscissas": list(range(10)), "density_values": [1, 1, 1, math.inf] + [1] * 6}},
         "nan_abscissa": {"family": "grid", "params": {
             "abscissas": [0, 1, 2, math.nan] + list(range(4, 10)), "density_values": [1] * 10}},
+        "gauss_inf_mean": {"family": "gaussian", "params": {"mean": math.inf, "sd": 1}},
+        "gauss_inf_sd": {"family": "gaussian", "params": {"mean": 0, "sd": math.inf}},
+        "laplace_neg_inf": {"family": "laplace", "params": {"location": -math.inf, "scale": 1}},
+        "uniform_inf_hi": {"family": "uniform", "params": {"lo": 0, "hi": math.inf}},
+        "mix_nan_mean": {"family": "gaussian_mixture", "params": {
+            "weights": [0.5, 0.5], "means": [math.nan, 1], "sds": [1, 1]}},
+        "mix_inf_sd": {"family": "gaussian_mixture", "params": {
+            "weights": [0.5, 0.5], "means": [-1, 1], "sds": [1, math.inf]}},
+        "gauss_text_mean": {"family": "gaussian", "params": {"mean": "abc", "sd": 1}},
+        "mix_ragged_means": {"family": "gaussian_mixture", "params": {
+            "weights": [0.5, 0.5], "means": [[-1, 0], 1], "sds": [1, 1]}},
         "gauss2d": {
             "dimension": 2,
             "components": [
@@ -45,6 +56,18 @@ def specs(tmp_path):
             "components": [
                 {"weight": 0.5, "mean": [-3, 0], "cov": [[1, 0], [0, 1]]},
                 {"weight": 0.5, "mean": [3, 0], "cov": [[1, 0], [0, 1]]}],
+        },
+        "mix2d_inf": {
+            "dimension": 2,
+            "components": [
+                {"weight": 0.5, "mean": [math.inf, 0], "cov": [[1, 0], [0, 1]]},
+                {"weight": 0.5, "mean": [-math.inf, 0], "cov": [[1, 0], [0, 1]]}],
+        },
+        "mix2d_empty_mean": {
+            "dimension": 2,
+            "components": [
+                {"weight": 0.5, "mean": [], "cov": [[1, 0], [0, 1]]},
+                {"weight": 0.5, "mean": [0, 0], "cov": [[1, 0], [0, 1]]}],
         },
     }
     for name, doc in docs.items():
@@ -79,6 +102,19 @@ class TestCertifyCommand:
         code = main(["certify", "--spec", specs[name], "-o", str(tmp_path / "o")])
         assert code == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["gauss_inf_mean", "gauss_inf_sd", "laplace_neg_inf",
+                                      "uniform_inf_hi", "mix_nan_mean", "mix_inf_sd"])
+    def test_non_finite_parameter_is_a_spec_error(self, specs, tmp_path, capsys, name):
+        code = main(["certify", "--spec", specs[name], "-o", str(tmp_path / "o")])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["gauss_text_mean", "mix_ragged_means"])
+    def test_non_numeric_parameter_is_a_spec_error(self, specs, tmp_path, capsys, name):
+        code = main(["certify", "--spec", specs[name], "-o", str(tmp_path / "o")])
+        assert code == 3
+        assert "must be numbers" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["certify", "--spec", str(tmp_path / "none.json"),
@@ -194,6 +230,13 @@ class TestProjectAndScan:
         assert doc["resolution_rad"] == pytest.approx(math.pi / 16, abs=1e-12)
         header = (out / "scan.csv").read_text().splitlines()[0]
         assert header == "u_1,u_2,slack,status"
+
+    @pytest.mark.parametrize("name", ["mix2d_inf", "mix2d_empty_mean"])
+    def test_scan_malformed_mixture_exit_three(self, specs, tmp_path, capsys, name):
+        code = main(["scan-nd", "--spec", specs[name], "--directions", "8",
+                     "-o", str(tmp_path / "scan")])
+        assert code == 3
+        assert "invalid spec" in capsys.readouterr().err
 
     def test_scan_violated_worst_direction(self, specs, tmp_path):
         out = tmp_path / "scan"

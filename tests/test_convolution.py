@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blc_lab import (
     CertifyOptions,
+    DegenerateDensityError,
     DistributionSpec,
     RequiresCertificateError,
     Status,
@@ -24,6 +25,7 @@ from blc_lab import (
     weighted_measure,
 )
 from blc_lab.convolution import _eval_outer, _node_sums, _roles, _spacing, _x_functions
+from blc_lab.core import MASS_TOL, cumulative_parabolic
 
 from conftest import (
     GAUSSIAN,
@@ -65,14 +67,13 @@ class TestConvolve:
 
     def test_mass_and_monotonicity(self, mix134, laplace):
         gZ = convolve(mix134, laplace)
-        assert abs(gZ.total_mass - 1.0) <= gZ.mass_tol
+        assert abs(gZ.total_mass - 1.0) <= MASS_TOL
         assert np.all(np.diff(gZ.Fs) >= 0)
 
     def test_cdf_consistency_both_identities(self, mix134, laplace):
         # F_Z from the lower-tail identity must match quadrature of the
         # upper-tail identity at probe points, and re-integrating the
         # convolved density must reproduce the same CDF
-        from blc_lab import cumulative_parabolic
         gZ = convolve(mix134, laplace)
         probes = gZ.quantile(np.linspace(0.02, 0.98, 50))
         upper = upper_tail_at(mix134, laplace, probes)
@@ -106,7 +107,7 @@ class TestConvolve:
         lap, mix = grid_of(LAPLACE, n=384), grid_of(mixture_spec(0.6, sd=0.6), n=384)
         for gX, gY in ((lap, mix), (mix, lap)):
             gZ = convolve(gX, gY)
-            assert abs(gZ.total_mass - 1.0) <= gZ.mass_tol
+            assert abs(gZ.total_mass - 1.0) <= MASS_TOL
 
     def test_off_node_derivative_is_summed_directly(self, mix134, gauss):
         gZ = convolve(mix134, gauss)
@@ -135,7 +136,7 @@ class TestConvolve:
             gZ = convolve(mix, gY, n_points=n)
             assert len(gZ) == n
             assert np.allclose(np.diff(gZ.xs), np.diff(gZ.xs)[0])
-            assert abs(gZ.total_mass - 1.0) <= gZ.mass_tol
+            assert abs(gZ.total_mass - 1.0) <= MASS_TOL
 
 
 _FAMILIES = ("mixture", "gaussian", "logistic", "laplace", "uniform")
@@ -172,6 +173,27 @@ def test_lattice_sums_equal_direct_sums(sx, sy, n):
             kink, d = gX.kink_x, dpdf_X
             dpdf_X = lambda u: d(np.where(np.abs(u - kink) <= 1e-9, kink, u))  # noqa: E731
         assert np.abs(dpdf_Z(xs) - _eval_outer(dpdf_X, xs, gY.xs, wf)).max() <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(sx=_factor_specs(), sy=_factor_specs(), n=st.sampled_from([256, 512]))
+@example(sx=GAUSSIAN, sy=DistributionSpec.gaussian(1.0, 1.0), n=256)  # equal spacings
+@example(sx=LOGISTIC, sy=DistributionSpec.logistic(1.0, 1.0), n=512)
+def test_convolution_commutes(sx, sy, n):
+    # a pair that misses the mass tolerance must miss it in both orders
+    gX, gY = materialize(sx, n_points=n), materialize(sy, n_points=n)
+    results = []
+    for a, b in ((gX, gY), (gY, gX)):
+        try:
+            results.append(convolve(a, b))
+        except DegenerateDensityError:
+            results.append(None)
+    ab, ba = results
+    if ab is None or ba is None:
+        assert ab is None and ba is None
+        return
+    for attr in ("xs", "fs", "Fs"):
+        assert np.array_equal(getattr(ab, attr), getattr(ba, attr)), attr
 
 
 class TestWeightedMeasure:

@@ -11,11 +11,14 @@ from blc_lab import (
     DistributionSpec,
     DomainError,
     SpecError,
-    cumulative_parabolic,
     materialize,
-    trapezoid_weights,
 )
-from blc_lab.core import quadrature_weights
+from blc_lab.core import (
+    MASS_TOL,
+    _trapezoid_weights,
+    cumulative_parabolic,
+    quadrature_weights,
+)
 
 from conftest import GAUSSIAN, LAPLACE, LOGISTIC, MIX_134, grid_of, two_bump_spec
 
@@ -87,8 +90,8 @@ class TestMaterialize:
     def test_mass_invariants(self):
         for spec in (GAUSSIAN, LOGISTIC, LAPLACE, MIX_134):
             g = grid_of(spec)
-            assert abs(g.total_mass - 1.0) <= g.mass_tol
-            assert g.Fs[0] <= g.mass_tol and g.Fs[-1] >= 1 - g.mass_tol
+            assert abs(g.total_mass - 1.0) <= MASS_TOL
+            assert g.Fs[0] <= MASS_TOL and g.Fs[-1] >= 1 - MASS_TOL
             assert np.all(np.diff(g.Fs) >= 0)
             assert np.all(g.fs >= 0)
             assert g.j_lo <= g.j_hi
@@ -177,7 +180,7 @@ class TestCdfReconstruction:
 
     def test_trapezoid_weights_sum(self):
         xs = np.array([0.0, 1.0, 3.0, 4.0])
-        w = trapezoid_weights(xs)
+        w = _trapezoid_weights(xs)
         assert w.sum() == pytest.approx(4.0)
         assert np.allclose(w, [0.5, 1.5, 1.5, 0.5])
 
@@ -191,30 +194,33 @@ class TestDensityDerivative:
         phi1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
         assert gauss.density_derivative(1.0) == pytest.approx(-phi1, abs=1e-8)
 
+    @staticmethod
+    def tabulated_pair(spec):
+        """An analytic grid, its tabulated copy, and nodes inside both J(F)."""
+        g = grid_of(spec, n=4096)
+        tab = materialize(DistributionSpec.grid(g.xs, g.fs))
+        assert g.dpdf_fn is not None and tab.dpdf_fn is None
+        return g, tab, g.xs[max(g.j_lo, tab.j_lo) + 1:min(g.j_hi, tab.j_hi)]
+
     def test_fd_matches_analytic(self):
+        # the tabulated copy has no dpdf_fn, so it takes the finite differences
         for spec in (GAUSSIAN, LOGISTIC, MIX_134):
-            g = grid_of(spec, n=4096)
-            xs = g.xs[g.j_lo + 1:g.j_hi]
-            fd = g.density_derivative(xs, method="fd")
-            exact = g.density_derivative(xs, method="analytic")
+            g, tab, xs = self.tabulated_pair(spec)
+            fd = tab.density_derivative(xs)
+            exact = g.density_derivative(xs)
             assert np.abs(fd - exact).max() <= 1e-4
 
     def test_fd_matches_analytic_laplace_away_from_kink(self):
-        g = grid_of(LAPLACE, n=4096)
-        xs = g.xs[g.j_lo + 1:g.j_hi]
+        g, tab, xs = self.tabulated_pair(LAPLACE)
         h = float(np.diff(g.xs).max())
         keep = np.abs(xs) > 1.5 * h  # second difference smears the kink cell
-        fd = g.density_derivative(xs[keep], method="fd")
-        exact = g.density_derivative(xs[keep], method="analytic")
+        fd = tab.density_derivative(xs[keep])
+        exact = g.density_derivative(xs[keep])
         assert np.abs(fd - exact).max() <= 1e-4
 
     def test_outside_J_rejected(self, gauss):
         with pytest.raises(DomainError, match="outside J"):
             gauss.density_derivative(gauss.xs[-1] + 1.0)
-
-    def test_grid_family_has_no_analytic_derivative(self, two_bump):
-        with pytest.raises(ValueError):
-            two_bump.density_derivative(0.5, method="analytic")
 
 
 class TestExports:
@@ -233,7 +239,7 @@ class TestExports:
 @given(mean=st.floats(-5, 5), sd=st.floats(0.1, 10))
 def test_gaussian_invariants_property(mean, sd):
     g = materialize(DistributionSpec.gaussian(mean, sd), n_points=256)
-    assert abs(g.total_mass - 1.0) <= g.mass_tol
+    assert abs(g.total_mass - 1.0) <= MASS_TOL
     assert np.all(np.diff(g.Fs) >= 0)
     assert abs(g.cdf(mean) - 0.5) <= 1e-6
     ps = np.linspace(0.05, 0.95, 19)
@@ -249,7 +255,7 @@ def test_gaussian_invariants_property(mean, sd):
 def test_mixture_invariants_property(a, sd, w):
     spec = DistributionSpec.gaussian_mixture([w, 1 - w], [-a, a], [sd, sd])
     g = materialize(spec, n_points=512)
-    assert abs(g.total_mass - 1.0) <= g.mass_tol
+    assert abs(g.total_mass - 1.0) <= MASS_TOL
     assert np.all(np.diff(g.Fs) >= 0)
     med = g.median()
     assert abs(g.cdf(med) - 0.5) <= 1e-6

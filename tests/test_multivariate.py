@@ -106,6 +106,27 @@ class TestConstruction:
         with pytest.raises(SpecError, match="invalid spec"):
             SymmetricMixtureNd.from_json({"dimension": 2})
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_one_mean_row_per_weight(self, rows):
+        with pytest.raises(SpecError, match="one row per weight"):
+            SymmetricMixtureNd(2, np.array([0.5, 0.5]), np.zeros((rows, 2)),
+                               np.array([np.eye(2), np.eye(2)]))
+
+    @pytest.mark.parametrize("weights,means,cov", [
+        ([0.5, 0.5], [[math.inf, 0.0], [-math.inf, 0.0]], np.eye(2)),
+        ([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]], [[1.0, math.nan], [math.nan, 1.0]]),
+        ([math.nan, math.nan], [[1.0, 0.0], [-1.0, 0.0]], np.eye(2)),
+    ], ids=["means", "covariances", "weights"])
+    def test_non_finite_values_rejected(self, weights, means, cov):
+        with pytest.raises(SpecError, match="must be finite"):
+            SymmetricMixtureNd(2, np.array(weights), np.array(means), np.array([cov, cov]))
+
+    def test_json_ragged_means_rejected(self):
+        comps = [{"weight": 0.5, "mean": mean, "cov": [[1.0, 0.0], [0.0, 1.0]]}
+                 for mean in ([], [0.0, 0.0])]
+        with pytest.raises(SpecError, match="invalid spec"):
+            SymmetricMixtureNd.from_json({"dimension": 2, "components": comps})
+
 
 class TestProjection:
     def test_rotation_invariance_of_gaussian(self, gauss2d):
