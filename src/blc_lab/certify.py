@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import MASS_TOL, DegenerateDensityError, DomainError, GridDensity
+from .core import MASS_TOL, DegenerateDensityError, DomainError, GridDensity, SpecError
 
 BOUNDARY_TRIM = 10.0  # multiples of MASS_TOL excluded next to F=0 and F=1
 
@@ -84,22 +84,13 @@ class CertifyOptions:
     """Settings shared by the certification checks.
 
     A check reports a violation when its slack is below ``-tolerance``.
-    ``envelope_t_grid`` is read by :func:`check_envelope` only and defaults
-    to 21 offsets spanning +-3 standard deviations of the tested
-    distribution.
     """
 
     tolerance: float = 1e-7
-    envelope_t_grid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
-        if self.envelope_t_grid is not None:
-            grid = np.asarray(self.envelope_t_grid, dtype=float)
-            if grid.size == 0:
-                raise ValueError("envelope_t_grid must be nonempty")
-            object.__setattr__(self, "envelope_t_grid", grid)
+            raise SpecError("tolerance must be >= 0")
 
 
 def _trimmed_range(g: GridDensity) -> slice:
@@ -166,7 +157,8 @@ def check_envelope(g: GridDensity, anchors: Sequence[float],
                    opts: CertifyOptions = CertifyOptions()) -> Certificate:
     """Exponential CDF envelopes probed at anchor points and a finite offset grid.
 
-    For every anchor x and offset t the two inequalities
+    The offsets are 21 points spanning +-3 standard deviations of the tested
+    distribution.  For every anchor x and offset t the two inequalities
 
         F(x+t) <= F(x) exp(f(x) t / F(x))
         1 - F(x+t) <= (1 - F(x)) exp(-f(x) t / (1 - F(x)))
@@ -182,11 +174,8 @@ def check_envelope(g: GridDensity, anchors: Sequence[float],
     for x in anchors:
         if not g.in_J(x):
             raise DomainError("outside J(F): envelope anchors must lie in J(F)")
-    if opts.envelope_t_grid is not None:
-        ts = np.asarray(opts.envelope_t_grid, dtype=float)
-    else:
-        s = g.std()
-        ts = np.linspace(-3.0 * s, 3.0 * s, 21)
+    s = g.std()
+    ts = np.linspace(-3.0 * s, 3.0 * s, 21)
     floor = np.finfo(float).tiny
     ai = np.clip(np.searchsorted(g.xs, anchors), g.j_lo, g.j_hi)
     xa = g.xs[ai]

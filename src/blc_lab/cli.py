@@ -31,6 +31,7 @@ from .core import (
     DomainError,
     SpecError,
     materialize,
+    _write_csv,
 )
 from .isoperimetry import (
     RequiresCertificateError,
@@ -79,11 +80,8 @@ def _emit(out_dir: Path, name: str, payload: dict) -> dict:
 
 
 def _load_1d(path: str, n: int, tol: float):
-    if tol < 0:
-        raise SpecError("invalid spec: tolerance must be >= 0")
-    spec = DistributionSpec.from_json(path)
-    g = materialize(spec, n_points=n)
-    return g, CertifyOptions(tolerance=tol)
+    opts = CertifyOptions(tolerance=tol)
+    return materialize(DistributionSpec.from_json(path), n_points=n), opts
 
 
 def _cmd_certify(args) -> int:
@@ -145,12 +143,9 @@ def _cmd_smooth(args) -> int:
     steps = smooth_sequence(g, sigmas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "smooth.csv", "w", encoding="utf-8") as fh:
-        fh.write("sigma,L1,L2,Linf,status\n")
-        for st in steps:
-            fh.write(
-                f"{st.sigma:.12g},{st.distances['1']:.12g},{st.distances['2']:.12g},"
-                f"{st.distances['inf']:.12g},{st.certificate.status.value}\n")
+    _write_csv(out / "smooth.csv", ("sigma", "L1", "L2", "Linf", "status"),
+               ((st.sigma, st.distances["1"], st.distances["2"], st.distances["inf"],
+                 st.certificate.status.value) for st in steps))
     worst = min((st.certificate for st in steps), key=lambda c: c.slack)
     summary = {
         "sigmas": sigmas,
@@ -162,13 +157,14 @@ def _cmd_smooth(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    opts = CertifyOptions(tolerance=args.tol)
     m = SymmetricMixtureNd.from_json(args.spec)
     u = _parse_list(args.u)
     g = project_to_line(m, u, n_grid=args.n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     g.to_csv(out / "projection.csv")
-    cert = certify_blc(g, CertifyOptions(tolerance=args.tol))
+    cert = certify_blc(g, opts)
     _emit(out, "projection_certificate.json", cert.to_dict())
     return _STATUS_EXIT[cert.status]
 

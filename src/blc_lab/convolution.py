@@ -47,10 +47,11 @@ from .core import (
     DistributionSpec,
     DomainError,
     GridDensity,
+    SpecError,
     materialize,
     quadrature_weights,
     _is_uniform,
-    _j_range,
+    _write_csv,
 )
 from .isoperimetry import _require_blc
 
@@ -140,24 +141,24 @@ def _nodes_or_direct(xs: np.ndarray, node_vals: np.ndarray, direct: Callable) ->
     return dpdf_Z
 
 
-def convolve(gX: GridDensity, gY: GridDensity,
-             n_points: Optional[int] = None) -> GridDensity:
+def convolve(gX: GridDensity, gY: GridDensity) -> GridDensity:
     """Density of X+Y on a uniform grid spanning the summed supports.
 
     The factors are first put in their roles (:func:`_roles`): a uniform
     factor, else a kinked one, else the one on the finer grid becomes Y.
+    The least node count n is the larger factor's node count, made odd so
+    that direct sums get the midpoint of the summed supports as a node.
     When Y's grid is uniform with spacing h the nodes are Y's lattice points
     ``x_0 + y_0 + m h k``, with ``m`` the largest step that still gives at
-    least ``n_points`` nodes (so between n and about 2n of them), and f_Z,
-    F_Z and f_Z' at every node come from one FFT pass.  If X has a kink
+    least n nodes (so between n and about 2n of them), and f_Z, F_Z and
+    f_Z' at every node come from one FFT pass.  If X has a kink
     (Laplace) the nodes shift by less than 2h and ``m`` is even (unless 1),
     so that the kink meets Y's grid on an even node at every output node.
     f_Z' off the nodes is summed directly, so it stays exact.
 
-    A tabulated (non-uniform) Y gets ``n_points`` evenly spaced nodes and
-    direct O(n^2) sums, and so does a Y too coarse for ``n_points`` nodes or
-    so fine that its lattice would hold more than a quarter of the n * n_Y
-    points of the direct sums.
+    A tabulated (non-uniform) Y gets n evenly spaced nodes and direct O(n^2)
+    sums, and so does a Y too coarse for n nodes or so fine that its lattice
+    would hold more than a quarter of the n * n_Y points of the direct sums.
 
     A uniform factor's density is discontinuous, so sampling it inside the
     quadrature would cost a full order of accuracy; its f_Z and f_Z' are
@@ -165,20 +166,11 @@ def convolve(gX: GridDensity, gY: GridDensity,
     summed.
     """
     gX, gY = _roles(gX, gY)
-    if n_points is not None:
-        n = n_points
-    else:
-        n = max(len(gX), len(gY))
-        n += 1 - n % 2  # odd: direct sums get the midpoint of the summed supports as a node
-    xs, fs, Fs, dpdf_Z = _node_sums(gX, gY, n)
+    n = max(len(gX), len(gY))
+    xs, fs, Fs, dpdf_Z = _node_sums(gX, gY, n + 1 - n % 2)
     Fs = np.maximum.accumulate(np.clip(Fs, 0.0, 1.0))
-    fs = np.maximum(fs, 0.0)
-    total = float(np.sum(quadrature_weights(xs) * fs))
-    j_lo, j_hi = _j_range(Fs)
-    return GridDensity(
-        xs=xs, fs=fs, Fs=Fs, j_lo=j_lo, j_hi=j_hi, total_mass=total,
-        label=f"conv[{gX.label},{gY.label}]", dpdf_fn=dpdf_Z,
-    )
+    return GridDensity(xs=xs, fs=np.maximum(fs, 0.0), Fs=Fs,
+                       label=f"conv[{gX.label},{gY.label}]", dpdf_fn=dpdf_Z)
 
 
 def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
@@ -308,10 +300,8 @@ class ConvolutionCriterionReport:
     excluded_mass: float = 0.0
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,cov_lower,cov_upper\n")
-            for x, cl, cu in zip(self.xs, self.cov_lower, self.cov_upper):
-                fh.write(f"{x:.12g},{cl:.12g},{cu:.12g}\n")
+        _write_csv(path, ("x", "cov_lower", "cov_upper"),
+                   zip(self.xs, self.cov_lower, self.cov_upper))
 
     def summary(self) -> dict:
         return {
@@ -355,21 +345,20 @@ def covariance_criterion(
     gY: GridDensity,
     xs: Optional[Sequence[float]] = None,
     tolerance: float = 1e-6,
-    n_anchors: int = 41,
     gZ: Optional[GridDensity] = None,
 ) -> ConvolutionCriterionReport:
     """Evaluate both stability covariances over a set of anchors.
 
-    Anchors default to ``n_anchors`` quantiles of F_{X+Y} between 0.02 and
-    0.98 (pass ``gZ`` to reuse an existing convolution).  Nodes where f_Y
-    falls below 1e-12 times its maximum are excluded from the quadrature
-    together with their (negligible) weight, which is reported; anchors
-    whose tilted measures carry no mass are skipped.
+    Anchors default to 41 quantiles of F_{X+Y} between 0.02 and 0.98 (pass
+    ``gZ`` to reuse an existing convolution).  Nodes where f_Y falls below
+    1e-12 times its maximum are excluded from the quadrature together with
+    their (negligible) weight, which is reported; anchors whose tilted
+    measures carry no mass are skipped.
     """
     if xs is None:
         if gZ is None:
             gZ = convolve(gX, gY)
-        xs = gZ.quantile(np.linspace(0.02, 0.98, n_anchors))
+        xs = gZ.quantile(np.linspace(0.02, 0.98, 41))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
 
     wq = gY.quad_weights
@@ -400,24 +389,20 @@ def covariance_criterion(
     )
 
 
-def check_convolution_blc_consistency(
-    gX: GridDensity,
-    gY: GridDensity,
-    xs: Optional[Sequence[float]] = None,
-    opts: Optional[CertifyOptions] = None,
-) -> Certificate:
+def check_convolution_blc_consistency(gX: GridDensity, gY: GridDensity) -> Certificate:
     """Cross-validate the covariance criterion against direct certification.
 
     Both inputs must certify as bi-log-concave.  The certificate is Certified
-    when the criterion verdict and the direct certificate of the numerical
-    convolution agree; its slack is the agreement confidence (the smaller of
-    the two margin magnitudes, negated on disagreement).
+    when the criterion verdict (at its default anchors) and the direct
+    certificate of the numerical convolution (at ``CONV_CERTIFY_TOL``)
+    agree; its slack is the agreement confidence (the smaller of the two
+    margin magnitudes, negated on disagreement).
     """
-    opts = opts or CertifyOptions(tolerance=CONV_CERTIFY_TOL)
-    _require_blc(gX, None, None)
-    _require_blc(gY, None, None)
+    opts = CertifyOptions(tolerance=CONV_CERTIFY_TOL)
+    _require_blc(gX)
+    _require_blc(gY)
     gZ = convolve(gX, gY)
-    report = covariance_criterion(gX, gY, xs=xs, gZ=gZ)
+    report = covariance_criterion(gX, gY, gZ=gZ)
     direct = certify_blc(gZ, opts)
     crit_min = min(report.min_lower, report.min_upper)
     agree = (report.verdict is Verdict.STABLE) == (direct.status is Status.CERTIFIED)
@@ -480,26 +465,21 @@ class SmoothingStep:
     distances: dict  # keys "1", "2", "inf"
 
 
-def smooth_sequence(
-    g: GridDensity,
-    sigmas: Sequence[float],
-    certificate: Optional[Certificate] = None,
-    opts: Optional[CertifyOptions] = None,
-) -> list[SmoothingStep]:
+def smooth_sequence(g: GridDensity, sigmas: Sequence[float]) -> list[SmoothingStep]:
     """Convolve with shrinking centered Gaussians and track L_p distances.
 
-    Each smoothed density must itself certify (convolution with a log-concave
-    factor preserves the shape constraint); its L_1, L_2 and L_inf distances
-    to the original density, keyed "1", "2" and "inf", decrease along the
-    sequence.
+    Each smoothed density must itself certify at ``CONV_CERTIFY_TOL``
+    (convolution with a log-concave factor preserves the shape constraint);
+    its L_1, L_2 and L_inf distances to the original density, keyed "1", "2"
+    and "inf", decrease along the sequence.
     """
     sigmas = [float(s) for s in sigmas]
     if any(s <= 0 for s in sigmas):
-        raise ValueError("sigmas must be > 0")
+        raise SpecError("sigmas must be > 0")
     if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
-        raise ValueError("sigmas must be strictly decreasing")
-    _require_blc(g, certificate, None)
-    cert_opts = opts or CertifyOptions(tolerance=CONV_CERTIFY_TOL)
+        raise SpecError("sigmas must be strictly decreasing")
+    _require_blc(g)
+    cert_opts = CertifyOptions(tolerance=CONV_CERTIFY_TOL)
 
     steps = []
     for s in sigmas:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,13 +23,12 @@ from scipy.special import ndtr, ndtri
 
 MASS_TOL = 1e-6
 DEFAULT_COVERAGE = 1.0 - 1e-9
-MIN_COVERAGE = 1.0 - 1e-6
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 class SpecError(ValueError):
-    """Raised for malformed or inconsistent distribution specifications."""
+    """Raised for malformed or inconsistent specifications and arguments."""
 
 
 class DegenerateDensityError(ValueError):
@@ -107,13 +106,7 @@ class DistributionSpec:
     @staticmethod
     def from_json(source) -> "DistributionSpec":
         """Load a spec from a JSON file path, file object, or dict."""
-        if isinstance(source, dict):
-            doc = source
-        elif hasattr(source, "read"):
-            doc = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        doc = _read_json(source)
         if not isinstance(doc, dict) or "family" not in doc:
             raise SpecError("invalid spec: missing 'family' field")
         return DistributionSpec(str(doc["family"]), dict(doc.get("params", {})))
@@ -131,6 +124,24 @@ class DistributionSpec:
         if self.family == "uniform":
             return f"uniform({self.params['lo']:g},{self.params['hi']:g})"
         return f"grid(n={len(self.params['abscissas'])})"
+
+
+def _read_json(source):
+    """A JSON document given as a dict, a file object or a file path."""
+    if isinstance(source, dict):
+        return source
+    if hasattr(source, "read"):
+        return json.load(source)
+    with open(source, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]):
+    """Write a CSV artifact in UTF-8: strings as-is, numbers to 12 significant digits."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) + "\n")
 
 
 def _require(cond: bool, msg: str):
@@ -425,16 +436,18 @@ class GridDensity:
     """Tabulated density/CDF pair with interpolation-based evaluation.
 
     ``xs`` is strictly increasing; ``fs`` holds density values and ``Fs`` CDF
-    values at the nodes.  ``j_lo``/``j_hi`` bracket the nodes where the CDF is
-    numerically inside (0, 1); all shape checks are restricted to that range.
+    values at the nodes.  ``j_lo``/``j_hi`` are derived from ``Fs``: they
+    bracket the nodes where the CDF is inside (MASS_TOL, 1 - MASS_TOL), and
+    all shape checks are restricted to that range.  ``total_mass`` defaults
+    to the :meth:`quadrature_mass` of the tabulated density.
     """
 
     xs: np.ndarray
     fs: np.ndarray
     Fs: np.ndarray
-    j_lo: int
-    j_hi: int
-    total_mass: float
+    j_lo: int = field(init=False)
+    j_hi: int = field(init=False)
+    total_mass: Optional[float] = None
     label: str = "grid"
     pdf_fn: Optional[Callable] = field(default=None, repr=False)
     cdf_fn: Optional[Callable] = field(default=None, repr=False)
@@ -453,13 +466,18 @@ class GridDensity:
             raise SpecError("invalid spec: density values must be >= 0")
         if np.any(np.diff(Fs) < -1e-12):
             raise SpecError("invalid spec: CDF values must be nondecreasing")
+        inside = np.nonzero((Fs > MASS_TOL) & (Fs < 1.0 - MASS_TOL))[0]
+        if len(inside) == 0:
+            raise DegenerateDensityError("degenerate density: J(F) empty")
+        object.__setattr__(self, "j_lo", int(inside[0]))
+        object.__setattr__(self, "j_hi", int(inside[-1]))
+        if self.total_mass is None:
+            object.__setattr__(self, "total_mass", self.quadrature_mass())
         if abs(self.total_mass - 1.0) > MASS_TOL:
             raise DegenerateDensityError(
                 f"degenerate density: total mass {self.total_mass:.6g} not within "
                 f"{MASS_TOL:g} of 1"
             )
-        if self.j_lo > self.j_hi:
-            raise DegenerateDensityError("degenerate density: J(F) empty")
 
     # -- basic queries ------------------------------------------------------
 
@@ -548,35 +566,20 @@ class GridDensity:
     # -- export -------------------------------------------------------------
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,f,F\n")
-            for x, f, F in zip(self.xs, self.fs, self.Fs):
-                fh.write(f"{x:.12g},{f:.12g},{F:.12g}\n")
+        _write_csv(path, ("x", "f", "F"), zip(self.xs, self.fs, self.Fs))
 
 
-def _j_range(Fs: np.ndarray) -> tuple[int, int]:
-    inside = np.nonzero((Fs > MASS_TOL) & (Fs < 1.0 - MASS_TOL))[0]
-    if len(inside) == 0:
-        raise DegenerateDensityError("degenerate density: J(F) empty")
-    return int(inside[0]), int(inside[-1])
-
-
-def materialize(
-    spec: DistributionSpec,
-    n_points: int = 2048,
-    coverage: float = DEFAULT_COVERAGE,
-) -> GridDensity:
+def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:
     """Tabulate a distribution spec onto a grid.
 
-    Analytic families are truncated to a window holding at least ``coverage``
-    of their mass and renormalized; the window is laid out so that the family
-    anchor (location parameter, center of symmetry, or median) falls exactly
-    on an even-index node.  Grid specs keep their given abscissas.
+    Analytic families are truncated to a window holding at least
+    ``DEFAULT_COVERAGE`` of their mass and renormalized; the window is laid
+    out so that the family anchor (location parameter, center of symmetry,
+    or median) falls exactly on an even-index node.  Grid specs keep their
+    given abscissas.
     """
     if spec.family != "grid" and n_points < 64:
         raise SpecError("invalid spec: n_points must be >= 64")
-    if not (MIN_COVERAGE <= coverage < 1.0):
-        raise SpecError(f"invalid spec: coverage must lie in [{MIN_COVERAGE}, 1)")
 
     if spec.family == "grid":
         xs = np.asarray(spec.params["abscissas"], dtype=float)
@@ -587,11 +590,7 @@ def materialize(
         fs = fs / mass
         Fs = _cumulative_trapezoid(xs, fs)
         Fs = np.clip(Fs / Fs[-1], 0.0, 1.0)
-        j_lo, j_hi = _j_range(Fs)
-        return GridDensity(
-            xs=xs, fs=fs, Fs=Fs, j_lo=j_lo, j_hi=j_hi,
-            total_mass=1.0, label=spec.label(),
-        )
+        return GridDensity(xs=xs, fs=fs, Fs=Fs, total_mass=1.0, label=spec.label())
 
     fam = _make_family(spec)
 
@@ -600,15 +599,13 @@ def materialize(
         xs = np.linspace(lo, hi, n_points)
         fs = np.full(n_points, 1.0 / (hi - lo))
         Fs = (xs - lo) / (hi - lo)
-        j_lo, j_hi = _j_range(Fs)
         return GridDensity(
-            xs=xs, fs=fs, Fs=Fs, j_lo=j_lo, j_hi=j_hi,
-            total_mass=1.0, label=spec.label(),
+            xs=xs, fs=fs, Fs=Fs, total_mass=1.0, label=spec.label(),
             pdf_fn=fam.pdf, cdf_fn=fam.cdf, dpdf_fn=fam.dpdf,
             uniform_bounds=(lo, hi),
         )
 
-    tail = 0.5 * (1.0 - coverage)
+    tail = 0.5 * (1.0 - DEFAULT_COVERAGE)
     left = float(fam.ppf(tail))
     right = float(fam.ppf(1.0 - tail))
     anchor = float(fam.anchor)
@@ -625,7 +622,6 @@ def materialize(
         raise DegenerateDensityError("degenerate density: window carries no mass")
     fs = np.asarray(fam.pdf(xs), dtype=float) / Z
     Fs = np.clip((F_raw - F_raw[0]) / Z, 0.0, 1.0)
-    j_lo, j_hi = _j_range(Fs)
 
     def pdf_scaled(x, _pdf=fam.pdf, _Z=Z):
         return _pdf(x) / _Z
@@ -638,7 +634,6 @@ def materialize(
 
     kink = anchor if spec.family == "laplace" else None
     return GridDensity(
-        xs=xs, fs=fs, Fs=Fs, j_lo=j_lo, j_hi=j_hi,
-        total_mass=1.0, label=spec.label(),
+        xs=xs, fs=fs, Fs=Fs, total_mass=1.0, label=spec.label(),
         pdf_fn=pdf_scaled, cdf_fn=cdf_scaled, dpdf_fn=dpdf_scaled, kink_x=kink,
     )

@@ -11,7 +11,7 @@ exponential concentration bound exp(-r f(median)/3) all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .certify import (
     _verdict,
     certify_blc,
 )
-from .core import GridDensity
+from .core import GridDensity, SpecError, _write_csv
 
 
 class RequiresCertificateError(ValueError):
@@ -55,10 +55,7 @@ class IsoProfile:
         object.__setattr__(self, "values", vals)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("p,I\n")
-            for p, v in zip(self.ps, self.values):
-                fh.write(f"{p:.12g},{v:.12g}\n")
+        _write_csv(path, ("p", "I"), zip(self.ps, self.values))
 
 
 @dataclass(frozen=True)
@@ -70,13 +67,14 @@ class ConcentrationReport:
     and ``bound[k]`` is exp(-r_k f(m)/3).  The full concentration function
     takes a supremum over all sets of mass >= 1/2; restricting to half-lines
     makes this a necessary-condition check, which is all a grid can certify.
+    A radius is within the bound when its excess is at most ``tolerance``.
     """
 
     rs: np.ndarray
     empirical: np.ndarray
     bound: np.ndarray
     f_at_median: float
-    tolerance: float = 1e-9
+    tolerance: ClassVar[float] = 1e-9
 
     @property
     def all_within(self) -> bool:
@@ -87,15 +85,11 @@ class ConcentrationReport:
         return self.rs[self.empirical > self.bound + self.tolerance]
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,empirical,bound\n")
-            for r, e, b in zip(self.rs, self.empirical, self.bound):
-                fh.write(f"{r:.12g},{e:.12g},{b:.12g}\n")
+        _write_csv(path, ("r", "empirical", "bound"), zip(self.rs, self.empirical, self.bound))
 
 
-def _require_blc(g: GridDensity, certificate: Optional[Certificate],
-                 opts: Optional[CertifyOptions]) -> Certificate:
-    cert = certificate if certificate is not None else certify_blc(g, opts or CertifyOptions())
+def _require_blc(g: GridDensity, certificate: Optional[Certificate] = None) -> Certificate:
+    cert = certificate if certificate is not None else certify_blc(g, CertifyOptions())
     if cert.status is not Status.CERTIFIED:
         raise RequiresCertificateError(
             f"requires BLC certificate: input is {cert.status.value} "
@@ -111,17 +105,15 @@ def bobkov_houdre_constant(g: GridDensity) -> float:
     return float(np.min(fs / np.minimum(Fs, 1.0 - Fs)))
 
 
-def blc_isoperimetric_constant(
-    g: GridDensity,
-    certificate: Optional[Certificate] = None,
-    opts: Optional[CertifyOptions] = None,
-) -> float:
+def blc_isoperimetric_constant(g: GridDensity,
+                               certificate: Optional[Certificate] = None) -> float:
     """Isoperimetric constant 2 f(median), valid for certified-BLC input.
 
     Pass a previously computed certificate to skip re-certification; inputs
-    that do not certify raise :class:`RequiresCertificateError`.
+    that do not certify at the default tolerance raise
+    :class:`RequiresCertificateError`.
     """
-    _require_blc(g, certificate, opts)
+    _require_blc(g, certificate)
     return 2.0 * float(g.pdf(g.median()))
 
 
@@ -140,12 +132,13 @@ def halfspace_profile_1d(g: GridDensity, ps: Sequence[float]) -> IsoProfile:
     return IsoProfile(ps=ps, values=np.minimum(lo, hi), kind="halfspace_1d")
 
 
-def weak_blc_ratio_check(profile: IsoProfile, tolerance: float = 1e-7) -> Certificate:
+def weak_blc_ratio_check(profile: IsoProfile) -> Certificate:
     """Monotonicity certificate for p -> I(p)/p on a half-space profile.
 
     Nonincreasingness of this ratio is the defining inequality of the weak
     multivariate extension; consecutive-point step margins are normalized by
-    the local ratio magnitude, mirroring the hazard check.
+    the local ratio magnitude, mirroring the hazard check, and judged at the
+    default certificate tolerance.
     """
     if profile.kind not in ("halfspace_1d", "halfspace_nd"):
         raise ValueError("ratio check applies to half-space profiles")
@@ -154,40 +147,31 @@ def weak_blc_ratio_check(profile: IsoProfile, tolerance: float = 1e-7) -> Certif
     steps = -np.diff(ratio) / np.maximum(np.maximum(ratio[1:], ratio[:-1]), tiny)
     k = int(np.argmin(steps))
     witness = 0.5 * float(profile.ps[k] + profile.ps[k + 1])
-    return _verdict("halfspace_ratio_monotonicity", float(steps[k]), witness, tolerance)
+    return _verdict("halfspace_ratio_monotonicity", float(steps[k]), witness,
+                    CertifyOptions().tolerance)
 
 
-def poincare_constant(
-    g: GridDensity,
-    certificate: Optional[Certificate] = None,
-    opts: Optional[CertifyOptions] = None,
-) -> float:
+def poincare_constant(g: GridDensity, certificate: Optional[Certificate] = None) -> float:
     """Spectral-gap lower bound f(median)^2 from Cheeger's inequality."""
-    _require_blc(g, certificate, opts)
+    _require_blc(g, certificate)
     fm = float(g.pdf(g.median()))
     return fm * fm
 
 
-def concentration_check(
-    g: GridDensity,
-    rs: Sequence[float],
-    certificate: Optional[Certificate] = None,
-    opts: Optional[CertifyOptions] = None,
-    tolerance: float = 1e-9,
-) -> ConcentrationReport:
+def concentration_check(g: GridDensity, rs: Sequence[float],
+                        certificate: Optional[Certificate] = None) -> ConcentrationReport:
     """Exponential concentration of half-line sets around the median."""
-    _require_blc(g, certificate, opts)
+    _require_blc(g, certificate)
     rs = np.asarray(rs, dtype=float)
     if np.any(rs <= 0.0):
-        raise ValueError("radii must be > 0")
+        raise SpecError("radii must be > 0")
     m = g.median()
     fm = float(g.pdf(m))
     upper = 1.0 - np.asarray(g.cdf(m + rs), dtype=float)
     lower = np.asarray(g.cdf(m - rs), dtype=float)
     empirical = np.maximum(upper, lower)
     bound = np.exp(-rs * fm / 3.0)
-    return ConcentrationReport(rs=rs, empirical=empirical, bound=bound,
-                               f_at_median=fm, tolerance=tolerance)
+    return ConcentrationReport(rs=rs, empirical=empirical, bound=bound, f_at_median=fm)
 
 
 def variance_functional(

@@ -21,7 +21,7 @@ import numpy as np
 from .certify import (Certificate, CertifyOptions, Status, certify_blc,
                       combined_status)
 from .core import (DistributionSpec, GridDensity, SpecError, materialize,
-                   mirror_closed)
+                   mirror_closed, _read_json, _write_csv)
 from .isoperimetry import IsoProfile, halfspace_profile_1d, weak_blc_ratio_check
 
 EIGENVALUE_FLOOR = 1e-10
@@ -77,13 +77,7 @@ class SymmetricMixtureNd:
 
     @staticmethod
     def from_json(source) -> "SymmetricMixtureNd":
-        if isinstance(source, dict):
-            doc = source
-        elif hasattr(source, "read"):
-            doc = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        doc = _read_json(source)
         try:
             d = int(doc["dimension"])
             comps = doc["components"]
@@ -138,6 +132,8 @@ def project_to_line(m: SymmetricMixtureNd, u: Sequence[float],
                     n_grid: int = 2048) -> GridDensity:
     """Law of Y.u for Y ~ m: a symmetric 1-D Gaussian mixture, materialized."""
     u = np.asarray(u, dtype=float)
+    if u.shape != (m.dimension,):
+        raise SpecError(f"invalid spec: direction must have {m.dimension} coordinates")
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise SpecError("invalid spec: direction must be a nonzero vector")
@@ -153,7 +149,7 @@ def _projections(m: SymmetricMixtureNd, n_directions: int,
                  n_grid: int) -> Iterator[tuple[np.ndarray, GridDensity]]:
     """Scanned directions with their projected laws, one grid alive at a time."""
     if n_directions < 2 * m.dimension:
-        raise ValueError("n_directions must be at least 2 * dimension")
+        raise SpecError("n_directions must be at least 2 * dimension")
     for u in direction_set(m.dimension, n_directions):
         yield u, project_to_line(m, u, n_grid=n_grid)
 
@@ -191,12 +187,9 @@ class DirectionScan:
 
     def to_csv(self, path):
         d = self.directions.shape[1]
-        header = ",".join(f"u_{i + 1}" for i in range(d))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{header},slack,status\n")
-            for u, cert in zip(self.directions, self.certificates):
-                coords = ",".join(f"{c:.12g}" for c in u)
-                fh.write(f"{coords},{cert.slack:.12g},{cert.status.value}\n")
+        header = [f"u_{i + 1}" for i in range(d)] + ["slack", "status"]
+        _write_csv(path, header, ((*u, cert.slack, cert.status.value)
+                                  for u, cert in zip(self.directions, self.certificates)))
 
 
 def weak_star_check(
@@ -238,11 +231,9 @@ def weak_blc_check_nd(
     ps: Sequence[float],
     n_directions: int,
     n_grid: int = 2048,
-    tolerance: float = 1e-7,
 ) -> Certificate:
     """Ratio monotonicity of the scanned half-space profile."""
-    profile = halfspace_profile_nd(m, ps, n_directions, n_grid=n_grid)
-    return weak_blc_ratio_check(profile, tolerance=tolerance)
+    return weak_blc_ratio_check(halfspace_profile_nd(m, ps, n_directions, n_grid=n_grid))
 
 
 def convolve_nd(m1: SymmetricMixtureNd, m2: SymmetricMixtureNd) -> SymmetricMixtureNd:

@@ -126,6 +126,22 @@ class TestCertifyCommand:
             main(["certify"])  # --spec is required
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["project", "--spec", "gauss2d", "--u", "1,0", "--tol", "-1"],
+        ["scan-nd", "--spec", "gauss2d", "--tol", "-1"],
+        ["scan-nd", "--spec", "gauss2d", "--directions", "1"],
+        ["scan-nd", "--spec", "gauss2d", "--directions", "0"],
+        ["smooth", "--spec", "mix134", "--sigmas", "0.5,1"],
+        ["smooth", "--spec", "mix134", "--sigmas", "-1"],
+        ["iso", "--spec", "mix134", "--rgrid=-1:2:5"],
+        ["project", "--spec", "gauss2d", "--u", "1,0,0"],
+    ], ids=" ".join)
+    def test_bad_argument_value_exit_three(self, specs, tmp_path, capsys, argv):
+        argv = [specs.get(a, a) for a in argv]
+        code = main(argv + ["--n", "256", "-o", str(tmp_path / "o")])
+        assert code == 3
+        assert "blc-lab: error:" in capsys.readouterr().err
+
 
 class TestIsoCommand:
     def test_artifacts_and_constants(self, specs, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from blc_lab import (
     CertifyOptions,
@@ -58,6 +59,26 @@ class TestConvolve:
         sd = math.sqrt(2.0)
         target = 0.5 * norm_pdf(gZ.xs, -1.34, sd) + 0.5 * norm_pdf(gZ.xs, 1.34, sd)
         assert np.abs(gZ.fs - target).max() <= 1e-5
+
+    @pytest.mark.parametrize("tabulated_first,f_tol,F_tol",
+                             [(False, 1e-8, 5e-9), (True, 2e-5, 1e-5)])
+    def test_mixture_with_tabulated_gaussian_closed_form(self, tabulated_first, f_tol, F_tol):
+        # the argument order matters for a tabulated factor: given second it
+        # carries the direct sums on its own (trapezoid-weighted) nodes with
+        # the mixture's exact functions; given first it is interpolated, has
+        # no analytic derivative, and the mixture's lattice carries the sums
+        mix = grid_of(mixture_spec(1.0, sd=0.8), n=1024)
+        u = np.linspace(-1.0, 1.0, 1001)
+        xs = 0.3 + 0.7 * 8.0 * np.sinh(2.5 * u) / math.sinh(2.5)
+        tab = materialize(DistributionSpec.grid(xs, norm_pdf(xs, 0.3, 0.7)))
+        gZ = convolve(tab, mix) if tabulated_first else convolve(mix, tab)
+        assert (gZ.dpdf_fn is None) is tabulated_first
+        sd = math.sqrt(0.8**2 + 0.7**2)
+        f = 0.5 * norm_pdf(gZ.xs, -0.7, sd) + 0.5 * norm_pdf(gZ.xs, 1.3, sd)
+        F = 0.5 * ndtr((gZ.xs + 0.7) / sd) + 0.5 * ndtr((gZ.xs - 1.3) / sd)
+        assert np.abs(gZ.fs - f).max() <= f_tol * f.max()
+        assert np.abs(gZ.Fs - F).max() <= F_tol
+        assert certify_blc(gZ, CertifyOptions(tolerance=1e-5)).status is Status.CERTIFIED
 
     def test_uniform_triangle(self, uniform01):
         gZ = convolve(uniform01, uniform01)
@@ -117,26 +138,33 @@ class TestConvolve:
         assert np.array_equal(gZ.density_derivative(mid), direct)
         assert gZ.density_derivative(float(mid[0])) == pytest.approx(direct[0], rel=1e-14)
 
-    def test_nodes_on_inner_lattice_respect_minimum_count(self, mix134, gauss):
-        # both factors span +-6.1 sd, so the Gaussian's grid is the finer one
-        h = _spacing(gauss)
-        for n in (501, 2048, 3001):
-            gZ = convolve(mix134, gauss, n_points=n)
+    def test_nodes_on_inner_lattice_respect_minimum_count(self, mix134):
+        # at least as many nodes as the larger factor has (made odd), on the
+        # lattice of the factor with the finer grid: the mixture against a
+        # 501-point Gaussian, the Gaussian otherwise
+        for n_y in (501, 2048, 3001):
+            gY = grid_of(GAUSSIAN, n=n_y)
+            n = max(len(mix134), n_y) | 1
+            gZ = convolve(mix134, gY)
             assert n <= len(gZ) <= 2 * n
-            step = (gZ.xs[1] - gZ.xs[0]) / h
+            step = (gZ.xs[1] - gZ.xs[0]) / _spacing(_roles(mix134, gY)[1])
             assert round(step) >= 1 and abs(step - round(step)) <= 1e-9
 
     def test_direct_sums_when_lattice_does_not_fit(self):
-        # a Y grid too coarse for the requested node count, and one so fine
-        # that its lattice would outgrow the direct sums, both fall back to
-        # n_points evenly spaced nodes
+        # a Y grid too coarse for the least node count (a 256-point box under
+        # a 2048-point narrow Gaussian), and one so fine that its lattice
+        # would outgrow the direct sums, both fall back to evenly spaced
+        # nodes, as many as the larger factor has (made odd)
+        narrow = grid_of(DistributionSpec.gaussian(0.0, 0.1), n=2048)
         mix = grid_of(MIX_134, n=256)
-        for gY, n in ((grid_of(GAUSSIAN, n=256), 1001),
-                      (grid_of(DistributionSpec.gaussian(0.0, 1e-4), n=256), 257)):
-            gZ = convolve(mix, gY, n_points=n)
+        for gX, gY, n in ((narrow, grid_of(UNIFORM01, n=256), 2049),
+                          (mix, grid_of(DistributionSpec.gaussian(0.0, 1e-4), n=256), 257)):
+            gZ = convolve(gX, gY)
             assert len(gZ) == n
             assert np.allclose(np.diff(gZ.xs), np.diff(gZ.xs)[0])
             assert abs(gZ.total_mass - 1.0) <= MASS_TOL
+            swapped = convolve(gY, gX)
+            assert np.array_equal(swapped.xs, gZ.xs) and np.array_equal(swapped.fs, gZ.fs)
 
 
 _FAMILIES = ("mixture", "gaussian", "logistic", "laplace", "uniform")
@@ -255,8 +283,10 @@ class TestCovarianceCriterion:
     def test_anchor_refinement_stable(self, mix134):
         # the stability conditions quantify over all anchors; doubling the
         # anchor budget must not move the verdict or the minima materially
-        coarse = covariance_criterion(mix134, mix134, n_anchors=41)
-        fine = covariance_criterion(mix134, mix134, n_anchors=81)
+        gZ = convolve(mix134, mix134)
+        coarse = covariance_criterion(mix134, mix134, gZ=gZ)  # 41 quantile anchors
+        fine = covariance_criterion(mix134, mix134,
+                                    xs=gZ.quantile(np.linspace(0.02, 0.98, 81)))
         assert coarse.verdict is fine.verdict
         assert abs(min(fine.min_lower, fine.min_upper)
                    - min(coarse.min_lower, coarse.min_upper)) <= 5e-3

@@ -1,4 +1,5 @@
 """Grid construction, CDF/quantile interpolation, and derivative accuracy."""
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from blc_lab import (
     DegenerateDensityError,
     DistributionSpec,
     DomainError,
+    GridDensity,
     SpecError,
     materialize,
 )
@@ -25,7 +27,7 @@ from conftest import GAUSSIAN, LAPLACE, LOGISTIC, MIX_134, grid_of, two_bump_spe
 
 class TestMaterialize:
     def test_gaussian_median_value(self):
-        g = materialize(GAUSSIAN, n_points=2048, coverage=1 - 1e-10)
+        g = materialize(GAUSSIAN, n_points=2048)
         assert abs(g.cdf(0.0) - 0.5) <= 1e-8
 
     def test_logistic_density_at_zero(self):
@@ -95,6 +97,21 @@ class TestMaterialize:
             assert np.all(np.diff(g.Fs) >= 0)
             assert np.all(g.fs >= 0)
             assert g.j_lo <= g.j_hi
+
+    def test_grid_density_derives_j_range_and_mass(self):
+        xs = np.linspace(-1.0, 1.0, 201)
+        g = GridDensity(xs=xs, fs=np.full(201, 0.5), Fs=(xs + 1.0) / 2.0)
+        assert (g.j_lo, g.j_hi) == (1, 199)
+        assert g.total_mass == g.quadrature_mass()
+        moved = dataclasses.replace(g, xs=xs + 1.0)
+        assert (moved.j_lo, moved.j_hi, moved.total_mass) == (1, 199, g.total_mass)
+        with pytest.raises(TypeError):
+            GridDensity(xs=xs, fs=g.fs, Fs=g.Fs, j_lo=0, j_hi=200)
+        # an empty J(F) is reported before the mass is checked
+        with pytest.raises(DegenerateDensityError, match=r"J\(F\) empty"):
+            GridDensity(xs=xs, fs=3.0 * g.fs, Fs=np.zeros(201))
+        with pytest.raises(DegenerateDensityError, match="total mass"):
+            GridDensity(xs=xs, fs=3.0 * g.fs, Fs=g.Fs)
 
     def test_mixture_symmetry_tolerance(self):
         # a symmetric mixture puts its center on a node; others their median
