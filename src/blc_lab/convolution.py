@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -49,7 +49,6 @@ from .core import (
     GridDensity,
     SpecError,
     materialize,
-    quadrature_weights,
     _is_uniform,
     _write_csv,
 )
@@ -264,10 +263,10 @@ class WeightedMeasure:
     weights: np.ndarray  # normalized density values at ys
     normalizer: float    # F_{X+Y}(anchor) for kind=lower, else its complement
     kind: str            # lower | upper
+    quad_weights: np.ndarray = field(repr=False)  # Y's cached quadrature weights
 
     def expectation(self, values: np.ndarray) -> float:
-        w = quadrature_weights(self.ys) * self.weights
-        return float(np.sum(w * values))
+        return float(np.sum(self.quad_weights * self.weights * values))
 
 
 def weighted_measure(gX: GridDensity, gY: GridDensity, x: float,
@@ -282,7 +281,7 @@ def weighted_measure(gX: GridDensity, gY: GridDensity, x: float,
     if not (MASS_TOL < normalizer < 1.0):
         raise DomainError("outside J(F): anchor carries no usable mass")
     return WeightedMeasure(anchor_x=float(x), ys=gY.xs, weights=raw / normalizer,
-                           normalizer=normalizer, kind=kind)
+                           normalizer=normalizer, kind=kind, quad_weights=gY.quad_weights)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 MASS_TOL = 1e-6
 DEFAULT_COVERAGE = 1.0 - 1e-9
+_TAIL = 0.5 * (1.0 - DEFAULT_COVERAGE)  # mass left out on each side of a window
+_XTOL, _RTOL = 1e-13, 8.9e-16  # absolute and relative tolerance of a mixture quantile
+_MAXITER = 100
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -182,33 +185,11 @@ def _validate_params(family: str, params: dict):
 # ---------------------------------------------------------------------------
 
 
-class _Family:
-    """pdf/cdf/ppf/density-derivative callables for one analytic family."""
-
-    def __init__(self, pdf, cdf, ppf, dpdf, anchor):
-        self.pdf = pdf
-        self.cdf = cdf
-        self.ppf = ppf
-        self.dpdf = dpdf
-        self.anchor = anchor
-
-
-def _gaussian_family(mean, sd):
-    def pdf(x):
-        z = (np.asarray(x, float) - mean) / sd
-        return np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
-
-    def cdf(x):
-        return ndtr((np.asarray(x, float) - mean) / sd)
-
-    def ppf(p):
-        return mean + sd * ndtri(p)
-
-    def dpdf(x):
-        z = (np.asarray(x, float) - mean) / sd
-        return -z / sd * pdf(x)
-
-    return _Family(pdf, cdf, ppf, dpdf, mean)
+# pdf/cdf/density-derivative callables of one analytic family; ``window`` is
+# (left, anchor, right): the quantiles at _TAIL and 1 - _TAIL, and the point
+# materialize lays on an even node; ``kink`` is where the density has one.
+# A Gaussian is the one-component mixture, whose quantile bracket is exact.
+_Family = namedtuple("_Family", "pdf cdf dpdf window kink", defaults=(None,))
 
 
 def _logistic_family(loc, scale):
@@ -226,7 +207,7 @@ def _logistic_family(loc, scale):
         F = cdf(x)
         return F * (1.0 - F) * (1.0 - 2.0 * F) / scale**2
 
-    return _Family(pdf, cdf, ppf, dpdf, loc)
+    return _Family(pdf, cdf, dpdf, (ppf(_TAIL), loc, ppf(1.0 - _TAIL)))
 
 
 def _laplace_family(loc, scale):
@@ -238,7 +219,6 @@ def _laplace_family(loc, scale):
         return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
 
     def ppf(p):
-        p = np.asarray(p, float)
         return loc + scale * np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
 
     def dpdf(x):
@@ -246,41 +226,90 @@ def _laplace_family(loc, scale):
         z = (np.asarray(x, float) - loc) / scale
         return -np.sign(z) * pdf(x) / scale
 
-    return _Family(pdf, cdf, ppf, dpdf, loc)
+    return _Family(pdf, cdf, dpdf, (ppf(_TAIL), loc, ppf(1.0 - _TAIL)), kink=loc)
 
 
-def _mixture_family(weights, means, sds):
+def _mixture_terms(x, w, mu, sd):
+    """Standardized offsets and weighted component densities of Gaussian mixtures at x."""
+    z = (np.asarray(x, float)[..., None] - mu) / sd
+    return z, w * np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
+
+
+def _mixture_family(weights, means, sds, window=None):
+    """A Gaussian mixture; its window is solved here unless given."""
     w = np.asarray(weights, float)
     mu = np.asarray(means, float)
     sd = np.asarray(sds, float)
 
     def pdf(x):
-        z = (np.asarray(x, float)[..., None] - mu) / sd
-        return (w * np.exp(-0.5 * z * z) / (sd * _SQRT2PI)).sum(axis=-1)
+        return _mixture_terms(x, w, mu, sd)[1].sum(axis=-1)
 
     def cdf(x):
         z = (np.asarray(x, float)[..., None] - mu) / sd
         return (w * ndtr(z)).sum(axis=-1)
 
     def dpdf(x):
-        z = (np.asarray(x, float)[..., None] - mu) / sd
-        comp = w * np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
+        z, comp = _mixture_terms(x, w, mu, sd)
         return (comp * (-z / sd)).sum(axis=-1)
 
-    lo = float((mu - sd * 40.0).min())
-    hi = float((mu + sd * 40.0).max())
+    if window is None:
+        window = tuple(float(v[0]) for v in _mixture_windows(w, mu[None], sd[None]))
+    return _Family(pdf, cdf, dpdf, window)
 
-    def ppf(p):
-        return brentq(lambda x: cdf(x) - p, lo, hi, xtol=1e-13, rtol=8.9e-16)
 
-    # symmetric mixtures get their center of symmetry as anchor, others the median
-    center = float((w * mu).sum())
-    if mirror_closed(w.tolist(), [(m - center,) for m in mu.tolist()],
-                     [(s,) for s in sd.tolist()], tol=1e-12):
-        anchor = center
-    else:
-        anchor = ppf(0.5)
-    return _Family(pdf, cdf, ppf, dpdf, anchor)
+def _mixture_windows(w, mu, sd):
+    """(left, anchor, right) arrays of a stack of Gaussian mixtures.
+
+    ``w`` has shape (k,), ``mu`` and ``sd`` (D, k).  A mirror-closed mixture
+    is anchored at its center of symmetry, any other at its median; the
+    window edges and the medians come from one solver call.
+    """
+    center = (w * mu).sum(axis=-1)
+    symmetric = np.array([
+        mirror_closed(w.tolist(), [(m - c,) for m in row], [(s,) for s in sds], tol=1e-12)
+        for c, row, sds in zip(center.tolist(), mu.tolist(), sd.tolist())])
+    ps = [_TAIL, 1.0 - _TAIL] + ([] if symmetric.all() else [0.5])
+    q = _mixture_quantile(np.tile(ps, (len(mu), 1)), w, mu, sd)
+    anchor = center if symmetric.all() else np.where(symmetric, center, q[:, -1])
+    return q[:, 0], anchor, q[:, 1]
+
+
+def _mixture_quantile(p, w, mu, sd):
+    """Quantiles of a stack of Gaussian mixtures with weights ``w`` (k,).
+
+    ``mu`` and ``sd`` have shape (D, k); ``p`` has shape (D,) or (D, m) and
+    so has the result.  Each root is bracketed by its component quantiles
+    ``mu + sd * ndtri(p)`` and found by Newton steps on the log of the
+    closed-form CDF, or of the survival function when p > 1/2 (on ``F - p``
+    the root interval near p = 1 is some 1e-8 wide); a step that leaves the
+    bracket becomes a bisection.  A root is final once a step moves it by at
+    most ``_XTOL`` (plus ``_RTOL`` relative), so it does not depend on the
+    rest of the stack.  Raises ``RuntimeError`` after ``_MAXITER`` steps.
+    """
+    p = np.asarray(p, float)
+    P = p.reshape(len(mu), -1)
+    mu, sd = np.asarray(mu, float)[:, None, :], np.asarray(sd, float)[:, None, :]
+    sign, target = np.where(P > 0.5, -1.0, 1.0), np.where(P > 0.5, 1.0 - P, P)
+    comp = mu + sd * ndtri(P)[..., None]
+    lo, hi = comp.min(axis=-1), comp.max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # start where the component nearest the root alone holds the tail mass
+        own = mu + sign[..., None] * sd * ndtri(np.minimum(target[..., None] / w, 1.0))
+        x = np.clip(np.where(sign > 0, own.min(axis=-1), own.max(axis=-1)), lo, hi)
+        done = hi - lo <= 2.0 * (_XTOL + _RTOL * np.abs(x))
+        for _ in range(_MAXITER):
+            if done.all():
+                return x.reshape(p.shape)
+            z, dens = _mixture_terms(x, w, mu, sd)
+            tail = (w * ndtr(sign[..., None] * z)).sum(axis=-1)
+            g = sign * np.log(tail / target)  # has the sign of F(x) - p
+            step = x - g * tail / dens.sum(axis=-1)
+            lo, hi = np.where(g < 0, x, lo), np.where(g > 0, x, hi)
+            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            step = np.where(done, x, step)
+            done |= np.abs(step - x) <= _XTOL + _RTOL * np.abs(step)
+            x = step
+    raise RuntimeError(f"mixture quantile: no convergence in {_MAXITER} steps")
 
 
 def mirror_closed(weights, locations, shapes, tol, rtol=0.0) -> bool:
@@ -324,19 +353,16 @@ def _uniform_family(lo, hi):
     def cdf(x):
         return np.clip((np.asarray(x, float) - lo) / width, 0.0, 1.0)
 
-    def ppf(p):
-        return lo + width * np.asarray(p, float)
-
     def dpdf(x):
         return np.zeros_like(np.asarray(x, float))
 
-    return _Family(pdf, cdf, ppf, dpdf, 0.5 * (lo + hi))
+    return _Family(pdf, cdf, dpdf, None)
 
 
 def _make_family(spec: DistributionSpec) -> Optional[_Family]:
     p = spec.params
     if spec.family == "gaussian":
-        return _gaussian_family(float(p["mean"]), float(p["sd"]))
+        return _mixture_family([1.0], [p["mean"]], [p["sd"]])
     if spec.family == "logistic":
         return _logistic_family(float(p["location"]), float(p["scale"]))
     if spec.family == "laplace":
@@ -605,11 +631,16 @@ def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:
             uniform_bounds=(lo, hi),
         )
 
-    tail = 0.5 * (1.0 - DEFAULT_COVERAGE)
-    left = float(fam.ppf(tail))
-    right = float(fam.ppf(1.0 - tail))
-    anchor = float(fam.anchor)
-    # anchor on an even node index so kinks never sit inside a parabolic pair
+    return _tabulate(fam, n_points, spec.label())
+
+
+def _tabulate(fam: _Family, n_points: int, label: str) -> GridDensity:
+    """An analytic family on ``n_points`` nodes over its window, renormalized.
+
+    The anchor falls on an even node index, so kinks never sit inside a
+    parabolic pair.
+    """
+    left, anchor, right = fam.window
     i0 = n_points // 2
     if i0 % 2 == 1:
         i0 -= 1
@@ -632,8 +663,7 @@ def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:
     def dpdf_scaled(x, _dpdf=fam.dpdf, _Z=Z):
         return _dpdf(x) / _Z
 
-    kink = anchor if spec.family == "laplace" else None
     return GridDensity(
-        xs=xs, fs=fs, Fs=Fs, total_mass=1.0, label=spec.label(),
-        pdf_fn=pdf_scaled, cdf_fn=cdf_scaled, dpdf_fn=dpdf_scaled, kink_x=kink,
+        xs=xs, fs=fs, Fs=Fs, total_mass=1.0, label=label,
+        pdf_fn=pdf_scaled, cdf_fn=cdf_scaled, dpdf_fn=dpdf_scaled, kink_x=fam.kink,
     )

@@ -20,8 +20,8 @@ import numpy as np
 
 from .certify import (Certificate, CertifyOptions, Status, certify_blc,
                       combined_status)
-from .core import (DistributionSpec, GridDensity, SpecError, materialize,
-                   mirror_closed, _read_json, _write_csv)
+from .core import (GridDensity, SpecError, mirror_closed, _mixture_family,
+                   _mixture_windows, _read_json, _tabulate, _write_csv)
 from .isoperimetry import IsoProfile, halfspace_profile_1d, weak_blc_ratio_check
 
 EIGENVALUE_FLOOR = 1e-10
@@ -134,15 +134,29 @@ def project_to_line(m: SymmetricMixtureNd, u: Sequence[float],
     u = np.asarray(u, dtype=float)
     if u.shape != (m.dimension,):
         raise SpecError(f"invalid spec: direction must have {m.dimension} coordinates")
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
+    if np.linalg.norm(u) == 0.0:
         raise SpecError("invalid spec: direction must be a nonzero vector")
-    u = u / norm
-    means = m.means @ u
-    variances = np.einsum("i,kij,j->k", u, m.covariances, u)
-    spec = DistributionSpec.gaussian_mixture(
-        m.weights, means, np.sqrt(np.maximum(variances, EIGENVALUE_FLOOR)))
-    return materialize(spec, n_points=n_grid)
+    return next(_line_grids(m, u[None], n_grid))
+
+
+def _line_grids(m: SymmetricMixtureNd, U: np.ndarray, n_grid: int) -> Iterator[GridDensity]:
+    """Projected laws of m along the rows of U, one grid alive at a time.
+
+    Every window comes from one solver call, and each projected mean and
+    variance sums over coordinates in a fixed order, so a row's grid does not
+    depend on the other rows.
+    """
+    if n_grid < 64:
+        raise SpecError("invalid spec: n_points must be >= 64")
+    U = U / np.sqrt((U * U).sum(axis=1, keepdims=True))
+    means = (U[:, None, :] * m.means).sum(axis=-1)
+    variances = (U[:, None, :, None] * m.covariances * U[:, None, None, :]).sum(axis=(-2, -1))
+    sds = np.sqrt(np.maximum(variances, EIGENVALUE_FLOOR))
+    if not (np.isfinite(means).all() and np.isfinite(sds).all()):
+        raise SpecError("invalid spec: gaussian_mixture parameters must be finite")
+    label = f"gaussian_mixture(k={m.n_components})"
+    for mu, sd, *window in zip(means, sds, *_mixture_windows(m.weights, means, sds)):
+        yield _tabulate(_mixture_family(m.weights, mu, sd, window), n_grid, label)
 
 
 def _projections(m: SymmetricMixtureNd, n_directions: int,
@@ -150,8 +164,8 @@ def _projections(m: SymmetricMixtureNd, n_directions: int,
     """Scanned directions with their projected laws, one grid alive at a time."""
     if n_directions < 2 * m.dimension:
         raise SpecError("n_directions must be at least 2 * dimension")
-    for u in direction_set(m.dimension, n_directions):
-        yield u, project_to_line(m, u, n_grid=n_grid)
+    U = direction_set(m.dimension, n_directions)
+    return zip(U, _line_grids(m, U, n_grid))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -25,8 +25,9 @@ from blc_lab import (
     upper_tail_at,
     weighted_measure,
 )
-from blc_lab.convolution import _eval_outer, _node_sums, _roles, _spacing, _x_functions
-from blc_lab.core import MASS_TOL, cumulative_parabolic
+from blc_lab.convolution import (CONV_CERTIFY_TOL, _eval_outer, _node_sums, _roles, _spacing,
+                                 _x_functions)
+from blc_lab.core import MASS_TOL, cumulative_parabolic, quadrature_weights
 
 from conftest import (
     GAUSSIAN,
@@ -240,6 +241,13 @@ class TestWeightedMeasure:
         upper = weighted_measure(g, g, 0.0, "upper")
         assert np.abs(lower.weights - upper.weights[::-1]).max() <= 1e-12
 
+    def test_expectation_uses_cached_weights_of_Y(self, mix134, laplace):
+        wm = weighted_measure(mix134, laplace, 0.4, "upper")
+        assert wm.quad_weights is laplace.quad_weights
+        values = np.sin(wm.ys)
+        want = float(np.sum(quadrature_weights(wm.ys) * wm.weights * values))
+        assert wm.expectation(values) == want
+
     def test_normalizer_matches_convolution_cdf(self, mix134, gauss):
         gZ = convolve(mix134, gauss)
         for x in (-1.0, 0.3, 2.0):
@@ -367,6 +375,27 @@ class TestStabilityUnderLogConcave:
         assert check_log_concave(gY).status is Status.CERTIFIED
         gZ = convolve(gX, gY)
         assert certify_blc(gZ, CertifyOptions(tolerance=1e-6)).status is Status.CERTIFIED
+
+
+@st.composite
+def _gaussian_mixtures(draw):
+    k = draw(st.integers(2, 3))
+    raw = [draw(st.floats(0.2, 1.0)) for _ in range(k)]
+    w = [r / sum(raw) for r in raw[:-1]]
+    return DistributionSpec.gaussian_mixture(
+        w + [1.0 - sum(w)], [draw(st.floats(-2.0, 2.0)) for _ in range(k)],
+        [draw(st.floats(0.5, 2.0)) for _ in range(k)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(sx=_gaussian_mixtures(), family=st.sampled_from(["gaussian", "logistic", "laplace"]),
+       loc=st.floats(-2.0, 2.0), scale=st.floats(0.2, 2.0), n=st.sampled_from([512, 1024]))
+def test_certified_mixture_convolved_with_log_concave_certifies(sx, family, loc, scale, n):
+    # the paper's stability theorem: BLC * log-concave is BLC
+    gX = materialize(sx, n_points=n)
+    assume(certify_blc(gX).certified)
+    gZ = convolve(gX, materialize(getattr(DistributionSpec, family)(loc, scale), n_points=n))
+    assert certify_blc(gZ, CertifyOptions(tolerance=CONV_CERTIFY_TOL)).certified
 
 
 class TestIntegrationByParts:

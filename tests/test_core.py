@@ -1,22 +1,28 @@
 """Grid construction, CDF/quantile interpolation, and derivative accuracy."""
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blc_lab
 from blc_lab import (
     DegenerateDensityError,
     DistributionSpec,
     DomainError,
     GridDensity,
     SpecError,
+    core,
     materialize,
 )
 from blc_lab.core import (
     MASS_TOL,
+    _mixture_quantile,
     _trapezoid_weights,
     cumulative_parabolic,
     quadrature_weights,
@@ -276,3 +282,78 @@ def test_mixture_invariants_property(a, sd, w):
     assert np.all(np.diff(g.Fs) >= 0)
     med = g.median()
     assert abs(g.cdf(med) - 0.5) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# mixture quantile solver
+# ---------------------------------------------------------------------------
+
+QUANTILE_PS = (5e-10, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 5e-10)
+
+
+def _random_mixtures(rng, n, k=None):
+    """Overlapping mixtures, so every quantile is well conditioned."""
+    out = []
+    for _ in range(n):
+        kk = k or int(rng.integers(1, 5))
+        w = rng.dirichlet(np.ones(kk))
+        out.append((w, rng.uniform(-1.5, 1.5, kk), rng.uniform(0.5, 2.0, kk)))
+    return out
+
+
+def _bisection_quantile(p, w, mu, sd):
+    """Reference root: bisect the closed-form CDF (survival function above 1/2)."""
+    if p <= 0.5:
+        def below(x):  # F(x) < p
+            return sum(wi * 0.5 * math.erfc(-(x - m) / (s * math.sqrt(2.0)))
+                       for wi, m, s in zip(w, mu, sd)) < p
+    else:
+        def below(x):  # S(x) > 1 - p
+            return sum(wi * 0.5 * math.erfc((x - m) / (s * math.sqrt(2.0)))
+                       for wi, m, s in zip(w, mu, sd)) > 1.0 - p
+    lo, hi = float(min(mu) - 40 * max(sd)), float(max(mu) + 40 * max(sd))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+
+
+class TestMixtureQuantile:
+    def test_roots_match_bisection_reference(self):
+        rng = np.random.default_rng(11)
+        for w, mu, sd in _random_mixtures(rng, 40):
+            got = _mixture_quantile(np.array([QUANTILE_PS]), w, mu[None], sd[None])[0]
+            for p, q in zip(QUANTILE_PS, got):
+                assert abs(q - _bisection_quantile(p, w, mu, sd)) <= core._XTOL, (p, w, mu, sd)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_stack_equals_rows_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        mixes = _random_mixtures(rng, 30, k)
+        w = mixes[0][0]
+        mu = np.array([m for _, m, _ in mixes])
+        sd = np.array([s for _, _, s in mixes])
+        ps = rng.choice(QUANTILE_PS, size=(30, 3))
+        stack = _mixture_quantile(ps, w, mu, sd)
+        for d in range(30):
+            row = _mixture_quantile(ps[d:d + 1], w, mu[d:d + 1], sd[d:d + 1])
+            assert np.array_equal(stack[d], row[0])
+            for j in range(3):
+                single = _mixture_quantile(ps[d:d + 1, j], w, mu[d:d + 1], sd[d:d + 1])
+                assert single.shape == (1,) and single[0] == stack[d, j]
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(core, "_MAXITER", 1)
+        with pytest.raises(RuntimeError, match="no convergence"):
+            _mixture_quantile(np.array([0.3]), [0.5, 0.5], np.array([[-1.0, 1.0]]),
+                              np.array([[1.0, 1.0]]))
+
+
+def test_import_leaves_scipy_optimize_out():
+    src = os.path.dirname(os.path.dirname(blc_lab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, blc_lab; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
