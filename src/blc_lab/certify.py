@@ -89,8 +89,8 @@ class CertifyOptions:
     tolerance: float = 1e-7
 
     def __post_init__(self):
-        if self.tolerance < 0:
-            raise SpecError("tolerance must be >= 0")
+        if not 0 <= self.tolerance < math.inf:
+            raise SpecError("tolerance must be finite and >= 0")
 
 
 def _trimmed_range(g: GridDensity) -> slice:

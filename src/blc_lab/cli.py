@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,12 +55,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str) -> np.ndarray:
-    """Parse 'start:stop:count' into a linspace."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise SpecError(f"invalid spec: range {text!r} is not start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 2 or not stop > start:
+    """Parse 'start:stop:count' (finite start < stop, integer count >= 2) into a linspace."""
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError as exc:  # not three parts, or not numbers
+        raise SpecError(f"invalid spec: range {text!r} is not start:stop:count") from exc
+    if count < 2 or not -math.inf < start < stop < math.inf:
         raise SpecError(f"invalid spec: bad range {text!r}")
     return np.linspace(start, stop, count)
 
@@ -95,7 +97,7 @@ def _cmd_iso(args) -> int:
     g, opts = _load_1d(args.spec, args.n, args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ps = _parse_range(args.pgrid)
+    ps, rs = _parse_range(args.pgrid), _parse_range(args.rgrid)
     iso_profile(g, ps).to_csv(out / "profile.csv")
     cert = certify_blc(g, opts)
     constants = {
@@ -105,7 +107,6 @@ def _cmd_iso(args) -> int:
     if cert.status is Status.CERTIFIED:
         constants["isoperimetric_2fm"] = blc_isoperimetric_constant(g, certificate=cert)
         constants["poincare"] = poincare_constant(g, certificate=cert)
-        rs = _parse_range(args.rgrid)
         report = concentration_check(g, rs, certificate=cert)
         report.to_csv(out / "concentration.csv")
         constants["concentration_all_within"] = report.all_within

@@ -13,9 +13,10 @@ correlation with ``quad_weights * f_Y``: the same fourth-order rule on the
 same analytic functions, in O(n log n) instead of O(n^2).  The node
 derivatives come from the same pass, so certifying the result does not
 repeat the sum.  Which factor plays Y is decided by the factors, not the
-argument order (see :func:`convolve`).  A non-uniform (tabulated) Y grid
-keeps the direct O(n^2) sum, and so do off-node derivative queries and
-:func:`upper_tail_at`.
+argument order (see :func:`_roles`); a tabulated factor plays Y unless the
+other one is uniform, so X is interpolated (:meth:`GridDensity.functions`)
+only when both are tabulated.  A non-uniform Y grid keeps the direct O(n^2)
+sum, and so do off-node derivative queries and :func:`upper_tail_at`.
 
 Stability of bi-log-concavity under the convolution is characterized by two
 covariance conditions: with a(y) = (-log f_Y)'(y),
@@ -69,13 +70,6 @@ def _eval_outer(fn, xs_out: np.ndarray, ys: np.ndarray, wf: np.ndarray) -> np.nd
     return out
 
 
-def _x_functions(g: GridDensity):
-    """pdf, cdf and density derivative (None if unknown), exact when available."""
-    return (g.pdf_fn if g.pdf_fn is not None else g.pdf,
-            g.cdf_fn if g.cdf_fn is not None else g.cdf,
-            g.dpdf_fn)
-
-
 def _spacing(g: GridDensity) -> Optional[float]:
     """Node spacing of a uniform grid; None for a non-uniform one."""
     return float(g.xs[-1] - g.xs[0]) / (len(g) - 1) if _is_uniform(g.xs) else None
@@ -84,23 +78,23 @@ def _spacing(g: GridDensity) -> Optional[float]:
 def _roles(gX: GridDensity, gY: GridDensity) -> tuple[GridDensity, GridDensity]:
     """Order the factors as (X, Y), Y being the one whose grid carries the sum.
 
-    A uniform factor goes to Y, where its box is handled in closed form.
-    Between two analytic factors on uniform grids a kinked one (Laplace) goes
-    to Y, so its kink sits on an even node of the parabolic rule; otherwise,
-    and between two uniform factors, the finer grid does, and on equal
-    spacing the grid further left.  The choice depends on the factors only,
-    so both argument orders give identical results; a tabulated factor
-    without a box keeps the argument order.
+    Y is, in this order of precedence: a uniform factor, whose box is handled
+    in closed form; a tabulated one (no exact pdf), so that only its own
+    nodes enter the sums; a kinked one (Laplace), so that its kink sits on
+    an even node of the parabolic rule; the finer uniform grid, or between
+    two tabulated factors the coarser grid, so that the interpolated X is
+    the finer one (a non-uniform grid counts as infinitely coarse); the grid
+    further left; the tabulated values.  The key depends on the factors
+    only, so both argument orders give identical results.
     """
     def key(g):  # the factor with the smaller key becomes Y
-        return (g.uniform_bounds is None, g.kink_x is None, _spacing(g), float(g.xs[0]))
+        exact = g.pdf_fn is not None
+        spacing = _spacing(g) or math.inf
+        return (g.uniform_bounds is None, exact, g.kink_x is None,
+                spacing if exact else -spacing, float(g.xs[0]),
+                g.xs.tobytes(), g.fs.tobytes())
 
-    box = gX.uniform_bounds is not None or gY.uniform_bounds is not None
-    analytic = all(g.pdf_fn is not None and g.cdf_fn is not None for g in (gX, gY))
-    uniform_grids = _spacing(gX) is not None and _spacing(gY) is not None
-    if (box or (analytic and uniform_grids)) and key(gX) < key(gY):
-        return gY, gX
-    return gX, gY
+    return (gY, gX) if key(gX) < key(gY) else (gX, gY)
 
 
 def _lattice_sums(fns, start: float, u_ref: float, gY: GridDensity,
@@ -144,16 +138,18 @@ def convolve(gX: GridDensity, gY: GridDensity) -> GridDensity:
     """Density of X+Y on a uniform grid spanning the summed supports.
 
     The factors are first put in their roles (:func:`_roles`): a uniform
-    factor, else a kinked one, else the one on the finer grid becomes Y.
-    The least node count n is the larger factor's node count, made odd so
-    that direct sums get the midpoint of the summed supports as a node.
+    factor, else a tabulated one, else a kinked one, else the one on the
+    finer grid becomes Y.  The least node count n is the larger factor's
+    node count, made odd so that direct sums get the midpoint of the summed
+    supports as a node.
     When Y's grid is uniform with spacing h the nodes are Y's lattice points
     ``x_0 + y_0 + m h k``, with ``m`` the largest step that still gives at
     least n nodes (so between n and about 2n of them), and f_Z, F_Z and
     f_Z' at every node come from one FFT pass.  If X has a kink
     (Laplace) the nodes shift by less than 2h and ``m`` is even (unless 1),
     so that the kink meets Y's grid on an even node at every output node.
-    f_Z' off the nodes is summed directly, so it stays exact.
+    f_Z' off the nodes is summed directly, so it stays exact (for a
+    tabulated X it is summed from X's finite differences).
 
     A tabulated (non-uniform) Y gets n evenly spaced nodes and direct O(n^2)
     sums, and so does a Y too coarse for n nodes or so fine that its lattice
@@ -177,7 +173,7 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
 
     The factors come in their roles; ``n`` is the least node count.
     """
-    pdf_X, cdf_X, dpdf_X = _x_functions(gX)
+    pdf_X, cdf_X, dpdf_X = gX.functions()
     box = gY.uniform_bounds is not None
     ys, wf = gY.xs, gY.quad_weights * gY.fs
     lo = gX.xs[0] + gY.xs[0]
@@ -187,7 +183,7 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     # the direct sums (a very fine Y) it is measured to be no faster
     lattice = h is not None and (n - 1) * h <= span < n * len(gY) * h / 4
 
-    fns = [cdf_X] if box else [pdf_X, cdf_X] + ([dpdf_X] if dpdf_X is not None else [])
+    fns = [cdf_X] if box else [pdf_X, cdf_X, dpdf_X]
     if lattice:
         m = max(1, int(span / ((n - 1) * h)))
         start, u_ref = lo, gX.xs[0]
@@ -210,8 +206,6 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
         fs, dpdf_Z = _box_density(gX, gY, xs)
         return xs, fs, sums[0], dpdf_Z
     fs, Fs = sums[0], sums[1]
-    if dpdf_X is None:
-        return xs, fs, Fs, None
 
     def direct_dpdf(x):
         return _eval_outer(dpdf_X, np.atleast_1d(x), ys, wf)
@@ -229,7 +223,7 @@ def _box_density(gX: GridDensity, gY: GridDensity, xs: np.ndarray):
     """
     lo, hi = gY.uniform_bounds
     width = hi - lo
-    pdf_X, cdf_X, _ = _x_functions(gX)
+    pdf_X, cdf_X, _ = gX.functions()
     fs = (np.asarray(cdf_X(xs - lo), float) - np.asarray(cdf_X(xs - hi), float)) / width
 
     def dpdf_Z(x, _p=pdf_X, _lo=lo, _hi=hi, _w=width):
@@ -242,7 +236,7 @@ def _box_density(gX: GridDensity, gY: GridDensity, xs: np.ndarray):
 def upper_tail_at(gX: GridDensity, gY: GridDensity, x) -> np.ndarray | float:
     """1 - F_{X+Y}(x) by direct quadrature of the complementary identity."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _, cdf_X, _ = _x_functions(gX)
+    _, cdf_X, _ = gX.functions()
     wf = gY.quad_weights * gY.fs
     out = _eval_outer(lambda u: 1.0 - cdf_X(u), x_arr, gY.xs, wf)
     return float(out[0]) if np.isscalar(x) else out
@@ -274,7 +268,7 @@ def weighted_measure(gX: GridDensity, gY: GridDensity, x: float,
     """Tilted copy of Y entering the covariance criterion at anchor x."""
     if kind not in ("lower", "upper"):
         raise ValueError("kind must be 'lower' or 'upper'")
-    _, cdf_X, _ = _x_functions(gX)
+    _, cdf_X, _ = gX.functions()
     Fx = np.asarray(cdf_X(x - gY.xs), dtype=float)
     raw = gY.fs * (Fx if kind == "lower" else 1.0 - Fx)
     normalizer = float(np.sum(gY.quad_weights * raw))
@@ -321,7 +315,7 @@ def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
     tilted measures carry more than ``MASS_TOL``.  Nodes outside ``alive`` or
     where the tilt vanishes get zero weight.
     """
-    pdf_X, cdf_X, _ = _x_functions(gX)
+    pdf_X, cdf_X, _ = gX.functions()
     u = xs[:, None] - gY.xs[None, :]
     Fx = np.asarray(cdf_X(u), dtype=float)
     fx = np.asarray(pdf_X(u), dtype=float)
@@ -354,6 +348,8 @@ def covariance_criterion(
     their (negligible) weight, which is reported; anchors whose tilted
     measures carry no mass are skipped.
     """
+    if not math.isfinite(tolerance):
+        raise SpecError("tolerance must be finite")
     if xs is None:
         if gZ is None:
             gZ = convolve(gX, gY)

@@ -550,27 +550,29 @@ class GridDensity:
     def in_J(self, x) -> bool:
         return self.xs[self.j_lo] <= x <= self.xs[self.j_hi]
 
-    def density_derivative(self, x) -> np.ndarray | float:
-        """Derivative of the density, analytic when the family provides one.
+    def functions(self) -> tuple[Callable, Callable, Callable]:
+        """pdf, cdf and density derivative: exact when the family has them.
 
-        Without ``dpdf_fn`` it is interpolated from finite differences at the
-        nodes.
+        A tabulated density interpolates its nodes, and its derivative
+        interpolates the finite differences there.
         """
+        def dpdf_tab(x):
+            return np.interp(x, self.xs, self._fd_derivs)
+
+        return (self.pdf_fn or self.pdf, self.cdf_fn or self.cdf, self.dpdf_fn or dpdf_tab)
+
+    def density_derivative(self, x) -> np.ndarray | float:
+        """Derivative of the density inside J(F) (see :meth:`functions`)."""
         x_arr = np.asarray(x, dtype=float)
         lo, hi = self.xs[self.j_lo], self.xs[self.j_hi]
         if np.any((x_arr < lo) | (x_arr > hi)):
             raise DomainError("outside J(F)")
-        if self.dpdf_fn is not None:
-            out = self.dpdf_fn(x_arr)
-        else:
-            out = np.interp(x_arr, self.xs, self._fd_derivs)
+        out = self.functions()[2](x_arr)
         return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
     def node_derivatives(self) -> np.ndarray:
-        """Density derivative at every grid node, analytic when available."""
-        if self.dpdf_fn is not None:
-            return np.asarray(self.dpdf_fn(self.xs), dtype=float)
-        return self._fd_derivs
+        """Density derivative at every grid node (see :meth:`functions`)."""
+        return np.asarray(self.functions()[2](self.xs), dtype=float)
 
     # -- moments ------------------------------------------------------------
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from blc_lab import DistributionSpec, materialize
+from blc_lab.core import _make_family
 
 GAUSSIAN = DistributionSpec.gaussian(0.0, 1.0)
 LOGISTIC = DistributionSpec.logistic(0.0, 1.0)
@@ -51,6 +54,20 @@ def two_bump_spec():
     ])
     fs = np.concatenate([np.full(201, 0.5), np.zeros(199), np.full(201, 0.5)])
     return DistributionSpec.grid(xs, fs)
+
+
+def tabulated_spec(spec, n, half_width=8.0, spacing="sinh"):
+    """A grid spec of ``spec``'s density on n abscissas over +-half_width scales.
+
+    ``spec`` is a Gaussian, logistic or Laplace law; the abscissas are evenly
+    spaced or, with ``spacing="sinh"``, packed around its location.
+    """
+    loc, scale = list(spec.params.values())
+    u = np.linspace(-1.0, 1.0, n)
+    if spacing == "sinh":
+        u = np.sinh(2.5 * u) / math.sinh(2.5)
+    xs = loc + scale * half_width * u
+    return DistributionSpec.grid(xs, _make_family(spec).pdf(xs))
 
 
 _CACHE = {}

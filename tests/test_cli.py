@@ -8,7 +8,7 @@ import pytest
 import blc_lab.cli as cli
 from blc_lab.cli import main
 
-from conftest import MIX_134, MIX_20, MIX_30
+from conftest import GAUSSIAN, MIX_134, MIX_20, MIX_30, tabulated_spec
 
 
 @pytest.fixture()
@@ -20,6 +20,7 @@ def specs(tmp_path):
         "mix134": json.loads(MIX_134.to_json()),
         "mix20": json.loads(MIX_20.to_json()),
         "mix30": json.loads(MIX_30.to_json()),
+        "gauss_sinh301": json.loads(tabulated_spec(GAUSSIAN, 301).to_json()),
         "twobump": {
             "family": "grid",
             "params": {
@@ -135,6 +136,16 @@ class TestCertifyCommand:
         ["smooth", "--spec", "mix134", "--sigmas", "-1"],
         ["iso", "--spec", "mix134", "--rgrid=-1:2:5"],
         ["project", "--spec", "gauss2d", "--u", "1,0,0"],
+        ["certify", "--spec", "mix134", "--tol", "nan"],
+        ["certify", "--spec", "mix134", "--tol", "inf"],
+        ["criterion", "--x", "mix134", "--y", "mix134", "--tol", "nan"],
+        ["scan-nd", "--spec", "gauss2d", "--tol", "inf"],
+        ["iso", "--spec", "mix134", "--pgrid", "0:1:abc"],
+        ["iso", "--spec", "mix134", "--pgrid", "0.01:0.99:2.5"],
+        ["iso", "--spec", "mix134", "--pgrid", "0.01:0.99"],
+        ["iso", "--spec", "mix134", "--rgrid", "0.5:6:x"],
+        ["iso", "--spec", "mix134", "--rgrid", "0.5:inf:5"],
+        ["iso", "--spec", "mix30", "--rgrid", "nan:6:5"],
     ], ids=" ".join)
     def test_bad_argument_value_exit_three(self, specs, tmp_path, capsys, argv):
         argv = [specs.get(a, a) for a in argv]
@@ -177,6 +188,19 @@ class TestConvolveCommand:
         assert lines[0] == "x,f,F"
         cert = json.loads((out / "convolution_certificate.json").read_text())
         assert cert["status"] == "Certified"
+
+    def test_coarse_tabulated_factor_in_either_order(self, specs, tmp_path):
+        # a Gaussian tabulated on 301 sinh-spaced points carries the sums in
+        # both orders; given first, it used to be interpolated onto the
+        # mixture's lattice and miss the mass tolerance (exit 4)
+        outs = []
+        for i, (x, y) in enumerate((("gauss_sinh301", "mix134"), ("mix134", "gauss_sinh301"))):
+            outs.append(tmp_path / f"conv{i}")
+            code = main(["convolve", "--x", specs[x], "--y", specs[y],
+                         "-o", str(outs[-1]), "--n", "512"])
+            assert code == 0
+        for name in ("convolution.csv", "convolution_certificate.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestCriterionCommand:
@@ -221,6 +245,12 @@ class TestSmoothCommand:
         doc = json.loads((out / "smooth.json").read_text())
         assert doc["all_certified"] is True
         assert doc["l1"][0] > doc["l1"][1]
+
+    def test_coarse_tabulated_input(self, specs, tmp_path):
+        # the tabulated input, not the Gaussian kernel, carries the sums
+        code = main(["smooth", "--spec", specs["gauss_sinh301"], "-o", str(tmp_path / "smooth"),
+                     "--n", "256"])
+        assert code == 0
 
     def test_non_blc_input_exit_one(self, specs, tmp_path, capsys):
         code = main(["smooth", "--spec", specs["mix30"], "-o", str(tmp_path / "smooth")])

@@ -12,6 +12,7 @@ from blc_lab import (
     DegenerateDensityError,
     DistributionSpec,
     RequiresCertificateError,
+    SpecError,
     Status,
     Verdict,
     certify_blc,
@@ -25,8 +26,7 @@ from blc_lab import (
     upper_tail_at,
     weighted_measure,
 )
-from blc_lab.convolution import (CONV_CERTIFY_TOL, _eval_outer, _node_sums, _roles, _spacing,
-                                 _x_functions)
+from blc_lab.convolution import CONV_CERTIFY_TOL, _eval_outer, _node_sums, _roles, _spacing
 from blc_lab.core import MASS_TOL, cumulative_parabolic, quadrature_weights
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     UNIFORM01,
     grid_of,
     mixture_spec,
+    tabulated_spec,
 )
 
 SQ2PI = math.sqrt(2 * math.pi)
@@ -61,24 +62,32 @@ class TestConvolve:
         target = 0.5 * norm_pdf(gZ.xs, -1.34, sd) + 0.5 * norm_pdf(gZ.xs, 1.34, sd)
         assert np.abs(gZ.fs - target).max() <= 1e-5
 
-    @pytest.mark.parametrize("tabulated_first,f_tol,F_tol",
-                             [(False, 1e-8, 5e-9), (True, 2e-5, 1e-5)])
-    def test_mixture_with_tabulated_gaussian_closed_form(self, tabulated_first, f_tol, F_tol):
-        # the argument order matters for a tabulated factor: given second it
-        # carries the direct sums on its own (trapezoid-weighted) nodes with
-        # the mixture's exact functions; given first it is interpolated, has
-        # no analytic derivative, and the mixture's lattice carries the sums
+    @pytest.mark.parametrize("tabulated_first", [False, True])
+    def test_mixture_with_tabulated_gaussian_closed_form(self, tabulated_first):
+        # in both orders the tabulated factor carries the direct sums on its
+        # own (trapezoid-weighted) nodes with the mixture's exact functions,
+        # derivative included
         mix = grid_of(mixture_spec(1.0, sd=0.8), n=1024)
-        u = np.linspace(-1.0, 1.0, 1001)
-        xs = 0.3 + 0.7 * 8.0 * np.sinh(2.5 * u) / math.sinh(2.5)
-        tab = materialize(DistributionSpec.grid(xs, norm_pdf(xs, 0.3, 0.7)))
+        tab = materialize(tabulated_spec(DistributionSpec.gaussian(0.3, 0.7), 1001))
         gZ = convolve(tab, mix) if tabulated_first else convolve(mix, tab)
-        assert (gZ.dpdf_fn is None) is tabulated_first
+        assert gZ.dpdf_fn is not None
         sd = math.sqrt(0.8**2 + 0.7**2)
         f = 0.5 * norm_pdf(gZ.xs, -0.7, sd) + 0.5 * norm_pdf(gZ.xs, 1.3, sd)
         F = 0.5 * ndtr((gZ.xs + 0.7) / sd) + 0.5 * ndtr((gZ.xs - 1.3) / sd)
-        assert np.abs(gZ.fs - f).max() <= f_tol * f.max()
-        assert np.abs(gZ.Fs - F).max() <= F_tol
+        assert np.abs(gZ.fs - f).max() <= 1e-8 * f.max()
+        assert np.abs(gZ.Fs - F).max() <= 5e-9
+        assert certify_blc(gZ, CertifyOptions(tolerance=1e-5)).status is Status.CERTIFIED
+
+    def test_two_tabulated_factors_interpolate_the_finer(self):
+        # X is interpolated, so the coarser grid (here the non-uniform one)
+        # carries the sum; the other way round the mass missed its tolerance
+        fine = materialize(tabulated_spec(DistributionSpec.gaussian(0.2, 0.9), 801,
+                                          spacing="uniform"))
+        coarse = materialize(tabulated_spec(DistributionSpec.gaussian(-0.2, 1.1), 401))
+        assert _roles(fine, coarse)[1] is coarse
+        gZ = convolve(fine, coarse)
+        F = ndtr(gZ.xs / math.hypot(0.9, 1.1))
+        assert np.abs(gZ.Fs - F).max() <= 1e-5
         assert certify_blc(gZ, CertifyOptions(tolerance=1e-5)).status is Status.CERTIFIED
 
     def test_uniform_triangle(self, uniform01):
@@ -168,13 +177,17 @@ class TestConvolve:
             assert np.array_equal(swapped.xs, gZ.xs) and np.array_equal(swapped.fs, gZ.fs)
 
 
-_FAMILIES = ("mixture", "gaussian", "logistic", "laplace", "uniform")
+_FAMILIES = ("mixture", "gaussian", "logistic", "laplace", "uniform", "tabulated")
 
 
 @st.composite
 def _factor_specs(draw):
     family = draw(st.sampled_from(_FAMILIES))
     c, s = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.3, 2.0))
+    if family == "tabulated":
+        n = draw(st.sampled_from([301, 401, 1001]))
+        spacing = draw(st.sampled_from(["uniform", "sinh"]))
+        return tabulated_spec(DistributionSpec.gaussian(c, s), n, spacing=spacing)
     if family == "mixture":
         return mixture_spec(draw(st.floats(0.0, 1.3)) * s, sd=s, shift=c)
     if family == "uniform":
@@ -191,7 +204,7 @@ def test_lattice_sums_equal_direct_sums(sx, sy, n):
     gX, gY = _roles(materialize(sx, n_points=n), materialize(sy, n_points=n))
     xs, fs, Fs, dpdf_Z = _node_sums(gX, gY, n + 1)
     assert len(xs) >= n + 1
-    pdf_X, cdf_X, dpdf_X = _x_functions(gX)
+    pdf_X, cdf_X, dpdf_X = gX.functions()
     wf = gY.quad_weights * gY.fs
     assert np.abs(Fs - _eval_outer(cdf_X, xs, gY.xs, wf)).max() <= 1e-13
     if gY.uniform_bounds is None:  # else f_Z and f_Z' are closed forms
@@ -208,6 +221,8 @@ def test_lattice_sums_equal_direct_sums(sx, sy, n):
 @given(sx=_factor_specs(), sy=_factor_specs(), n=st.sampled_from([256, 512]))
 @example(sx=GAUSSIAN, sy=DistributionSpec.gaussian(1.0, 1.0), n=256)  # equal spacings
 @example(sx=LOGISTIC, sy=DistributionSpec.logistic(1.0, 1.0), n=512)
+@example(sx=GAUSSIAN, sy=tabulated_spec(DistributionSpec.gaussian(1.0, 1.0), 301), n=512)
+@example(sx=tabulated_spec(GAUSSIAN, 301), sy=tabulated_spec(LOGISTIC, 301), n=256)  # same nodes
 def test_convolution_commutes(sx, sy, n):
     # a pair that misses the mass tolerance must miss it in both orders
     gX, gY = materialize(sx, n_points=n), materialize(sy, n_points=n)
@@ -320,6 +335,14 @@ class TestCovarianceCriterion:
         assert report.verdict is Verdict.INCONCLUSIVE
         assert len(report.skipped) == 2
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, gauss, tol):
+        # a NaN tolerance used to certify anything and report Unstable here
+        with pytest.raises(SpecError, match="finite"):
+            CertifyOptions(tolerance=tol)
+        with pytest.raises(SpecError, match="finite"):
+            covariance_criterion(gauss, gauss, tolerance=tol)
+
 
 class TestBiconditional:
     PAIRS = [
@@ -387,14 +410,29 @@ def _gaussian_mixtures(draw):
         [draw(st.floats(0.5, 2.0)) for _ in range(k)])
 
 
-@settings(max_examples=50, deadline=None)
-@given(sx=_gaussian_mixtures(), family=st.sampled_from(["gaussian", "logistic", "laplace"]),
-       loc=st.floats(-2.0, 2.0), scale=st.floats(0.2, 2.0), n=st.sampled_from([512, 1024]))
-def test_certified_mixture_convolved_with_log_concave_certifies(sx, family, loc, scale, n):
-    # the paper's stability theorem: BLC * log-concave is BLC
+_LOG_CONCAVE = ("gaussian", "logistic", "laplace", "uniform",
+                "tabulated gaussian", "tabulated logistic", "tabulated laplace")
+
+
+@settings(max_examples=80, deadline=None)
+@given(sx=_gaussian_mixtures(), family=st.sampled_from(_LOG_CONCAVE),
+       loc=st.floats(-2.0, 2.0), scale=st.floats(0.2, 2.0), n=st.sampled_from([512, 1024]),
+       n_tab=st.sampled_from([301, 401, 1001]), mixture_first=st.booleans())
+def test_certified_mixture_convolved_with_log_concave_certifies(sx, family, loc, scale, n,
+                                                                n_tab, mixture_first):
+    # the paper's stability theorem: BLC * log-concave is BLC, in either order;
+    # tabulated factors lie on sinh-spaced abscissas (+-8 sds, +-18 scales)
     gX = materialize(sx, n_points=n)
     assume(certify_blc(gX).certified)
-    gZ = convolve(gX, materialize(getattr(DistributionSpec, family)(loc, scale), n_points=n))
+    law = family.split()[-1]
+    if law == "uniform":
+        sy = DistributionSpec.uniform(loc - scale, loc + scale)
+    else:
+        sy = getattr(DistributionSpec, law)(loc, scale)
+    if family.startswith("tabulated"):
+        sy = tabulated_spec(sy, n_tab, half_width=8.0 if law == "gaussian" else 18.0)
+    gY = materialize(sy, n_points=n)
+    gZ = convolve(gX, gY) if mixture_first else convolve(gY, gX)
     assert certify_blc(gZ, CertifyOptions(tolerance=CONV_CERTIFY_TOL)).certified
 
 
