@@ -20,6 +20,7 @@ from .core import (
 from .certify import (
     Certificate,
     CertifyOptions,
+    RequiresCertificateError,
     Status,
     certify_blc,
     check_derivative_sandwich,
@@ -30,7 +31,6 @@ from .certify import (
 from .isoperimetry import (
     ConcentrationReport,
     IsoProfile,
-    RequiresCertificateError,
     blc_isoperimetric_constant,
     bobkov_houdre_constant,
     concentration_check,

@@ -10,8 +10,9 @@ The CDF envelope -- exponential upper/lower envelopes of F around anchor
 points, probed on a finite offset grid -- is a separate cross-check,
 :func:`check_envelope`.  Plain log-concavity of the density itself is
 certified from second differences of log f by :func:`check_log_concave`.
-Every check reports a signed, scale-free worst-case slack; a verdict is
-Certified when the slack clears ``-tolerance``.
+Every check reports a signed, scale-free worst-case slack; :func:`_verdict`
+turns margins into a verdict, Certified only when the worst one clears
+``-tolerance`` (so a NaN margin fails).
 """
 from __future__ import annotations
 
@@ -53,10 +54,6 @@ class Certificate:
     def certified(self) -> bool:
         return self.status is Status.CERTIFIED
 
-    @property
-    def violated(self) -> bool:
-        return self.status is Status.VIOLATED
-
     def to_dict(self) -> dict:
         return {
             "status": self.status.value,
@@ -70,13 +67,30 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _verdict(condition_id: str, slack: float, witness: Optional[float],
+class RequiresCertificateError(ValueError):
+    """Raised when an operation valid only for certified-BLC input gets other input."""
+
+
+def _verdict(condition_id: str, margins: np.ndarray, witnesses: np.ndarray,
              tolerance: float) -> Certificate:
-    if slack < -tolerance:
-        return Certificate(Status.VIOLATED, float(slack), condition_id,
-                           tolerance, witness_x=witness)
-    return Certificate(Status.CERTIFIED, float(slack), condition_id,
-                       tolerance, witness_x=witness if slack < 0 else None)
+    """The verdict on the worst of ``margins``, located at the matching witness.
+
+    Certified only when the worst margin is at least ``-tolerance``, so a NaN
+    margin fails; a certified verdict names a witness only for a negative slack.
+    """
+    k = int(np.argmin(margins))
+    slack, witness = float(margins.flat[k]), float(witnesses.flat[k])
+    if slack >= -tolerance:
+        return Certificate(Status.CERTIFIED, slack, condition_id, tolerance,
+                           witness_x=witness if slack < 0 else None)
+    return Certificate(Status.VIOLATED, slack, condition_id, tolerance, witness_x=witness)
+
+
+def _normalized_steps(values: np.ndarray) -> np.ndarray:
+    """Consecutive differences relative to the larger value; inf values give NaN steps."""
+    tiny = np.finfo(float).tiny
+    with np.errstate(invalid="ignore"):
+        return np.diff(values) / np.maximum(np.maximum(values[1:], values[:-1]), tiny)
 
 
 @dataclass(frozen=True)
@@ -111,16 +125,8 @@ def check_hazards(g: GridDensity, opts: CertifyOptions = CertifyOptions()) -> Ce
     """
     sl = _trimmed_range(g)
     xs, fs, Fs = g.xs[sl], g.fs[sl], g.Fs[sl]
-    haz = fs / (1.0 - Fs)
-    rev = fs / Fs
-    tiny = np.finfo(float).tiny
-    step_h = np.diff(haz) / np.maximum(np.maximum(haz[1:], haz[:-1]), tiny)
-    step_r = -np.diff(rev) / np.maximum(np.maximum(rev[1:], rev[:-1]), tiny)
-    steps = np.minimum(step_h, step_r)
-    k = int(np.argmin(steps))
-    slack = float(steps[k])
-    witness = 0.5 * float(xs[k] + xs[k + 1])
-    return _verdict("hazard_monotonicity", slack, witness, opts.tolerance)
+    steps = np.minimum(_normalized_steps(fs / (1.0 - Fs)), -_normalized_steps(fs / Fs))
+    return _verdict("hazard_monotonicity", steps, 0.5 * (xs[:-1] + xs[1:]), opts.tolerance)
 
 
 def check_derivative_sandwich(g: GridDensity,
@@ -147,10 +153,7 @@ def check_derivative_sandwich(g: GridDensity,
     upper_cap = fs**2 / Fs
     m_lo = (fp + lower_cap) / lower_cap
     m_hi = (upper_cap - fp) / upper_cap
-    margins = np.minimum(m_lo, m_hi)
-    k = int(np.argmin(margins))
-    return _verdict("derivative_sandwich", float(margins[k]), float(xs[k]),
-                    opts.tolerance)
+    return _verdict("derivative_sandwich", np.minimum(m_lo, m_hi), xs, opts.tolerance)
 
 
 def check_envelope(g: GridDensity, anchors: Sequence[float],
@@ -189,11 +192,8 @@ def check_envelope(g: GridDensity, anchors: Sequence[float],
             - np.log(np.maximum(Fxt, floor))
         m_lo = np.log(np.maximum(1.0 - Fx, floor)) - fx * t_eff / (1.0 - Fx) \
             - np.log(np.maximum(1.0 - Fxt, floor))
-    margins = np.minimum(m_up, m_lo)
-    flat = int(np.argmin(margins))
-    i, j = np.unravel_index(flat, margins.shape)
-    witness = float(xa[i] + t_eff[i, j])
-    return _verdict("cdf_envelope", float(margins[i, j]), witness, opts.tolerance)
+    return _verdict("cdf_envelope", np.minimum(m_up, m_lo), xa[:, None] + t_eff,
+                    opts.tolerance)
 
 
 def check_log_concave(g: GridDensity,
@@ -214,9 +214,7 @@ def check_log_concave(g: GridDensity,
     lf = np.log(fs)
     h = np.diff(xs)
     curv = 2.0 * (np.diff(lf[1:]) / h[1:] - np.diff(lf[:-1]) / h[:-1]) / (h[1:] + h[:-1])
-    k = int(np.argmax(curv))
-    slack = float(-curv[k])
-    return _verdict("log_concavity", slack, float(xs[k + 1]), opts.tolerance)
+    return _verdict("log_concavity", -curv, xs[1:-1], opts.tolerance)
 
 
 def certify_blc(g: GridDensity, opts: CertifyOptions = CertifyOptions()) -> Certificate:
@@ -230,6 +228,17 @@ def certify_blc(g: GridDensity, opts: CertifyOptions = CertifyOptions()) -> Cert
     return Certificate(combined_status(results), worst.slack,
                        f"blc:{worst.condition_id}", opts.tolerance,
                        witness_x=worst.witness_x)
+
+
+def _require_blc(g: GridDensity, certificate: Optional[Certificate] = None) -> Certificate:
+    """``certificate`` (else :func:`certify_blc` at the default tolerance), if Certified."""
+    cert = certificate if certificate is not None else certify_blc(g, CertifyOptions())
+    if cert.status is not Status.CERTIFIED:
+        raise RequiresCertificateError(
+            f"requires BLC certificate: input is {cert.status.value} "
+            f"({cert.condition_id}, slack {cert.slack:.3g})"
+        )
+    return cert
 
 
 def combined_status(certs: Sequence[Certificate]) -> Status:

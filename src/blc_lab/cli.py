@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import CertifyOptions, Status, certify_blc
+from .certify import (CertifyOptions, RequiresCertificateError, Status, certify_blc,
+                      combined_status)
 from .convolution import (
     Verdict,
     convolve,
@@ -30,12 +31,12 @@ from .core import (
     DegenerateDensityError,
     DistributionSpec,
     DomainError,
+    GridDensity,
     SpecError,
     materialize,
     _write_csv,
 )
 from .isoperimetry import (
-    RequiresCertificateError,
     blc_isoperimetric_constant,
     bobkov_houdre_constant,
     concentration_check,
@@ -44,8 +45,9 @@ from .isoperimetry import (
 )
 from .multivariate import SymmetricMixtureNd, project_to_line, weak_star_check
 
-_STATUS_EXIT = {Status.CERTIFIED: 0, Status.VIOLATED: 1, Status.INCONCLUSIVE: 2}
-_VERDICT_EXIT = {Verdict.STABLE: 0, Verdict.UNSTABLE: 1, Verdict.INCONCLUSIVE: 2}
+# both enums are str-valued, so Verdict.INCONCLUSIVE finds Status.INCONCLUSIVE
+_EXIT = {Status.CERTIFIED: 0, Status.VIOLATED: 1, Status.INCONCLUSIVE: 2,
+         Verdict.STABLE: 0, Verdict.UNSTABLE: 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,31 +75,31 @@ def _parse_list(text: str) -> list[float]:
         raise SpecError(f"invalid spec: bad list {text!r}") from exc
 
 
-def _emit(out_dir: Path, name: str, payload: dict) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    (out_dir / name).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
-    return payload
-
-
-def _load_1d(path: str, n: int, tol: float):
-    opts = CertifyOptions(tolerance=tol)
-    return materialize(DistributionSpec.from_json(path), n_points=n), opts
-
-
-def _cmd_certify(args) -> int:
-    g, opts = _load_1d(args.spec, args.n, args.tol)
-    cert = certify_blc(g, opts)
-    _emit(Path(args.out), "certify.json", cert.to_dict())
-    return _STATUS_EXIT[cert.status]
-
-
-def _cmd_iso(args) -> int:
-    g, opts = _load_1d(args.spec, args.n, args.tol)
+def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _grid(path: str, n: int) -> GridDensity:
+    return materialize(DistributionSpec.from_json(path), n_points=n)
+
+
+# Each subcommand returns (Status or Verdict, JSON summary file name, summary);
+# main writes the summary and maps the outcome to the exit status.
+
+
+def _cmd_certify(args, opts):
+    cert = certify_blc(_grid(args.spec, args.n), opts)
+    return cert.status, "certify.json", cert.to_dict()
+
+
+def _cmd_iso(args, opts):
     ps, rs = _parse_range(args.pgrid), _parse_range(args.rgrid)
+    if rs[0] <= 0.0:  # checked before anything is written
+        raise SpecError("invalid spec: radii must be > 0")
+    g = _grid(args.spec, args.n)
+    out = _out_dir(args)
     iso_profile(g, ps).to_csv(out / "profile.csv")
     cert = certify_blc(g, opts)
     constants = {
@@ -111,72 +113,50 @@ def _cmd_iso(args) -> int:
         report.to_csv(out / "concentration.csv")
         constants["concentration_all_within"] = report.all_within
         constants["f_at_median"] = report.f_at_median
-    _emit(out, "constants.json", constants)
-    return _STATUS_EXIT[cert.status]
+    return cert.status, "constants.json", constants
 
 
-def _cmd_convolve(args) -> int:
-    gX, opts = _load_1d(args.x, args.n, args.tol)
-    gY, _ = _load_1d(args.y, args.n, args.tol)
-    gZ = convolve(gX, gY)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    gZ.to_csv(out / "convolution.csv")
+def _cmd_convolve(args, opts):
+    gZ = convolve(_grid(args.x, args.n), _grid(args.y, args.n))
+    gZ.to_csv(_out_dir(args) / "convolution.csv")
     cert = certify_blc(gZ, opts)
-    _emit(out, "convolution_certificate.json", cert.to_dict())
-    return _STATUS_EXIT[cert.status]
+    return cert.status, "convolution_certificate.json", cert.to_dict()
 
 
-def _cmd_criterion(args) -> int:
-    gX, _ = _load_1d(args.x, args.n, args.tol)
-    gY, _ = _load_1d(args.y, args.n, args.tol)
-    report = covariance_criterion(gX, gY, tolerance=args.tol)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report.to_csv(out / "criterion.csv")
-    _emit(out, "criterion.json", report.summary())
-    return _VERDICT_EXIT[report.verdict]
+def _cmd_criterion(args, opts):
+    report = covariance_criterion(_grid(args.x, args.n), _grid(args.y, args.n),
+                                  tolerance=opts.tolerance)
+    report.to_csv(_out_dir(args) / "criterion.csv")
+    return report.verdict, "criterion.json", report.summary()
 
 
-def _cmd_smooth(args) -> int:
-    g, opts = _load_1d(args.spec, args.n, args.tol)
+def _cmd_smooth(args, opts):
+    g = _grid(args.spec, args.n)
     sigmas = _parse_list(args.sigmas)
     steps = smooth_sequence(g, sigmas)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "smooth.csv", ("sigma", "L1", "L2", "Linf", "status"),
+    _write_csv(_out_dir(args) / "smooth.csv", ("sigma", "L1", "L2", "Linf", "status"),
                ((st.sigma, st.distances["1"], st.distances["2"], st.distances["inf"],
                  st.certificate.status.value) for st in steps))
-    worst = min((st.certificate for st in steps), key=lambda c: c.slack)
     summary = {
         "sigmas": sigmas,
         "l1": [st.distances["1"] for st in steps],
         "all_certified": all(st.certificate.certified for st in steps),
     }
-    _emit(out, "smooth.json", summary)
-    return _STATUS_EXIT[worst.status]
+    return combined_status([st.certificate for st in steps]), "smooth.json", summary
 
 
-def _cmd_project(args) -> int:
-    opts = CertifyOptions(tolerance=args.tol)
+def _cmd_project(args, opts):
     m = SymmetricMixtureNd.from_json(args.spec)
-    u = _parse_list(args.u)
-    g = project_to_line(m, u, n_grid=args.n)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    g.to_csv(out / "projection.csv")
+    g = project_to_line(m, _parse_list(args.u), n_grid=args.n)
+    g.to_csv(_out_dir(args) / "projection.csv")
     cert = certify_blc(g, opts)
-    _emit(out, "projection_certificate.json", cert.to_dict())
-    return _STATUS_EXIT[cert.status]
+    return cert.status, "projection_certificate.json", cert.to_dict()
 
 
-def _cmd_scan_nd(args) -> int:
+def _cmd_scan_nd(args, opts):
     m = SymmetricMixtureNd.from_json(args.spec)
-    scan = weak_star_check(m, args.directions, n_grid=args.n,
-                           opts=CertifyOptions(tolerance=args.tol))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    scan.to_csv(out / "scan.csv")
+    scan = weak_star_check(m, args.directions, n_grid=args.n, opts=opts)
+    scan.to_csv(_out_dir(args) / "scan.csv")
     summary = {
         "verdict": scan.verdict.value,
         "worst_direction": [float(c) for c in scan.worst_direction],
@@ -184,8 +164,7 @@ def _cmd_scan_nd(args) -> int:
         "n_directions": int(len(scan.directions)),
         "resolution_rad": scan.resolution,
     }
-    _emit(out, "scan.json", summary)
-    return _STATUS_EXIT[scan.verdict]
+    return scan.verdict, "scan.json", summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +222,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        outcome, name, summary = args.fn(args, CertifyOptions(tolerance=args.tol))
     except (SpecError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"blc-lab: error: {exc}", file=sys.stderr)
         return 3
@@ -253,6 +232,10 @@ def main(argv=None) -> int:
     except (DegenerateDensityError, ValueError) as exc:
         print(f"blc-lab: error: {exc}", file=sys.stderr)
         return 4
+    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    (_out_dir(args) / name).write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
+    return _EXIT[outcome]
 
 
 if __name__ == "__main__":

@@ -41,7 +41,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .certify import Certificate, CertifyOptions, Status, certify_blc
+from .certify import (Certificate, CertifyOptions, Status, _require_blc, _verdict,
+                      certify_blc)
 from .core import (
     MASS_TOL,
     DegenerateDensityError,
@@ -53,7 +54,6 @@ from .core import (
     _is_uniform,
     _write_csv,
 )
-from .isoperimetry import _require_blc
 
 # certification of quadrature-produced densities tolerates the quadrature
 # noise floor; measured worst case is ~1e-7 on equality-tail families
@@ -363,24 +363,18 @@ def covariance_criterion(
     blocks = [_anchor_covariances(gX, gY, xs[lo:lo + _CHUNK], wq * gY.fs, alive, a)
               for lo in range(0, max(len(xs), 1), _CHUNK)]  # one block even if empty
     cov_lo, cov_up, ok = (np.concatenate(parts) for parts in zip(*blocks))
-    kept = xs[ok].tolist()
-    skipped = xs[~ok].tolist()
-    cov_lo, cov_up = cov_lo[ok], cov_up[ok]
+    kept, cov_lo, cov_up = xs[ok], cov_lo[ok], cov_up[ok]
 
-    if not kept:
-        return ConvolutionCriterionReport(
-            xs=np.array([]), cov_lower=np.array([]), cov_upper=np.array([]),
-            min_lower=math.nan, min_upper=math.nan,
-            verdict=Verdict.INCONCLUSIVE, tolerance=tolerance,
-            skipped=tuple(skipped), excluded_mass=excluded,
-        )
-    min_lo = float(cov_lo.min())
-    min_up = float(cov_up.min())
-    verdict = Verdict.STABLE if min(min_lo, min_up) >= -tolerance else Verdict.UNSTABLE
+    if len(kept):
+        cert = _verdict("covariance_criterion", np.minimum(cov_lo, cov_up), kept, tolerance)
+        verdict = Verdict.STABLE if cert.certified else Verdict.UNSTABLE
+        min_lo, min_up = float(cov_lo.min()), float(cov_up.min())
+    else:  # no anchor carries mass
+        verdict, min_lo, min_up = Verdict.INCONCLUSIVE, math.nan, math.nan
     return ConvolutionCriterionReport(
-        xs=np.asarray(kept), cov_lower=cov_lo, cov_upper=cov_up,
+        xs=kept, cov_lower=cov_lo, cov_upper=cov_up,
         min_lower=min_lo, min_upper=min_up, verdict=verdict,
-        tolerance=tolerance, skipped=tuple(skipped), excluded_mass=excluded,
+        tolerance=tolerance, skipped=tuple(xs[~ok].tolist()), excluded_mass=excluded,
     )
 
 
@@ -469,6 +463,8 @@ def smooth_sequence(g: GridDensity, sigmas: Sequence[float]) -> list[SmoothingSt
     and "inf", decrease along the sequence.
     """
     sigmas = [float(s) for s in sigmas]
+    if not sigmas:
+        raise SpecError("sigmas must not be empty")
     if any(s <= 0 for s in sigmas):
         raise SpecError("sigmas must be > 0")
     if any(b >= a for a, b in zip(sigmas, sigmas[1:])):

@@ -46,17 +46,6 @@ class DomainError(ValueError):
 # distribution specifications
 # ---------------------------------------------------------------------------
 
-# the parameters each family needs; every one of them must be finite
-_FAMILIES = {
-    "gaussian": ("mean", "sd"),
-    "logistic": ("location", "scale"),
-    "laplace": ("location", "scale"),
-    "gaussian_mixture": ("weights", "means", "sds"),
-    "grid": ("abscissas", "density_values"),
-    "uniform": ("lo", "hi"),
-}
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
     """Family tag plus parameters, as read from ``{"family": ..., "params": ...}``."""
@@ -67,44 +56,35 @@ class DistributionSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise SpecError(f"invalid spec: unknown family {self.family!r}")
-        _validate_params(self.family, self.params)
+        object.__setattr__(self, "params", _convert_params(self.family, self.params))
+
+    @staticmethod
+    def _of(family: str, *values) -> "DistributionSpec":
+        return DistributionSpec(family, dict(zip(_FAMILIES[family].keys, values)))
 
     @staticmethod
     def gaussian(mean: float, sd: float) -> "DistributionSpec":
-        return DistributionSpec("gaussian", {"mean": float(mean), "sd": float(sd)})
+        return DistributionSpec._of("gaussian", mean, sd)
 
     @staticmethod
     def logistic(location: float, scale: float) -> "DistributionSpec":
-        return DistributionSpec("logistic", {"location": float(location), "scale": float(scale)})
+        return DistributionSpec._of("logistic", location, scale)
 
     @staticmethod
     def laplace(location: float, scale: float) -> "DistributionSpec":
-        return DistributionSpec("laplace", {"location": float(location), "scale": float(scale)})
+        return DistributionSpec._of("laplace", location, scale)
 
     @staticmethod
     def gaussian_mixture(weights, means, sds) -> "DistributionSpec":
-        return DistributionSpec(
-            "gaussian_mixture",
-            {
-                "weights": [float(w) for w in weights],
-                "means": [float(m) for m in means],
-                "sds": [float(s) for s in sds],
-            },
-        )
+        return DistributionSpec._of("gaussian_mixture", weights, means, sds)
 
     @staticmethod
     def grid(abscissas, density_values) -> "DistributionSpec":
-        return DistributionSpec(
-            "grid",
-            {
-                "abscissas": [float(x) for x in abscissas],
-                "density_values": [float(v) for v in density_values],
-            },
-        )
+        return DistributionSpec._of("grid", abscissas, density_values)
 
     @staticmethod
     def uniform(lo: float, hi: float) -> "DistributionSpec":
-        return DistributionSpec("uniform", {"lo": float(lo), "hi": float(hi)})
+        return DistributionSpec._of("uniform", lo, hi)
 
     @staticmethod
     def from_json(source) -> "DistributionSpec":
@@ -118,15 +98,10 @@ class DistributionSpec:
         return json.dumps({"family": self.family, "params": self.params}, sort_keys=True)
 
     def label(self) -> str:
-        if self.family == "gaussian":
-            return f"gaussian({self.params['mean']:g},{self.params['sd']:g})"
-        if self.family in ("logistic", "laplace"):
-            return f"{self.family}({self.params['location']:g},{self.params['scale']:g})"
-        if self.family == "gaussian_mixture":
-            return f"gaussian_mixture(k={len(self.params['weights'])})"
-        if self.family == "uniform":
-            return f"uniform({self.params['lo']:g},{self.params['hi']:g})"
-        return f"grid(n={len(self.params['abscissas'])})"
+        keys, _, count = _FAMILIES[self.family]
+        if count:
+            return f"{self.family}({count}={len(self.params[keys[0]])})"
+        return f"{self.family}({','.join(f'{self.params[k]:g}' for k in keys)})"
 
 
 def _read_json(source):
@@ -152,13 +127,21 @@ def _require(cond: bool, msg: str):
         raise SpecError(f"invalid spec: {msg}")
 
 
-def _validate_params(family: str, params: dict):
-    keys = _FAMILIES[family]
+def _convert_params(family: str, params: dict) -> dict:
+    """The family's parameters, validated, as floats (lists of floats for vectors).
+
+    A parameter must be a JSON number, or for a vector family a flat list of
+    them; strings and booleans are refused, not converted.
+    """
+    keys, _, count = _FAMILIES[family]
     _require(all(key in params for key in keys), f"{family} needs {', '.join(keys)}")
     try:
-        values = [np.asarray(params[key], dtype=float) for key in keys]
-    except (TypeError, ValueError) as exc:  # not numbers, or a ragged list
+        values = [np.asarray(params[key]) for key in keys]
+    except ValueError as exc:  # a ragged list
         raise SpecError(f"invalid spec: {family} parameters must be numbers") from exc
+    _require(all(v.dtype.kind in "iuf" and v.ndim == (1 if count else 0) for v in values),
+             f"{family} parameters must be numbers")
+    values = [v.astype(float) for v in values]
     _require(all(np.isfinite(v).all() for v in values), f"{family} parameters must be finite")
     if family in ("gaussian", "logistic", "laplace"):
         _require(values[1] > 0, f"{family} {keys[1]} must be > 0")
@@ -167,17 +150,18 @@ def _validate_params(family: str, params: dict):
         _require(hi > lo, "uniform needs hi > lo")
     elif family == "gaussian_mixture":
         w, mu, sd = values
-        _require(w.ndim == 1 and len(w) >= 1, "weights must be a nonempty vector")
+        _require(len(w) >= 1, "weights must be a nonempty vector")
         _require(len(w) == len(mu) == len(sd), "weights/means/sds lengths differ")
         _require(np.all(w >= 0), "mixture weights must be >= 0")
         _require(abs(w.sum() - 1.0) <= 1e-12, "mixture weights must sum to 1 within 1e-12")
         _require(np.all(sd > 0), "mixture sds must be > 0")
     elif family == "grid":
         xs, fs = values
-        _require(xs.ndim == 1 and len(xs) >= 8, "grid needs at least 8 points")
+        _require(len(xs) >= 8, "grid needs at least 8 points")
         _require(len(xs) == len(fs), "abscissas/density_values lengths differ")
         _require(np.all(np.diff(xs) > 0), "grid abscissas must be strictly increasing")
         _require(np.all(fs >= 0), "grid density values must be >= 0")
+    return dict(zip(keys, (v.tolist() for v in values)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +178,8 @@ _Family = namedtuple("_Family", "pdf cdf dpdf window kink", defaults=(None,))
 
 def _logistic_family(loc, scale):
     def cdf(x):
-        return 1.0 / (1.0 + np.exp(-(np.asarray(x, float) - loc) / scale))
+        with np.errstate(over="ignore"):  # exp overflows to inf far left: F = 0
+            return 1.0 / (1.0 + np.exp(-(np.asarray(x, float) - loc) / scale))
 
     def pdf(x):
         F = cdf(x)
@@ -216,7 +201,8 @@ def _laplace_family(loc, scale):
 
     def cdf(x):
         z = (np.asarray(x, float) - loc) / scale
-        return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+        half_tail = 0.5 * np.exp(-np.abs(z))
+        return np.where(z < 0, half_tail, 1.0 - half_tail)
 
     def ppf(p):
         return loc + scale * np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
@@ -359,19 +345,24 @@ def _uniform_family(lo, hi):
     return _Family(pdf, cdf, dpdf, None)
 
 
+# per family: its parameter names; the adapter building its _Family from
+# them (None for a tabulated grid); for a family of vector parameters, the
+# label's name for their length
+_FamilyEntry = namedtuple("_FamilyEntry", "keys adapter count", defaults=(None,))
+_FAMILIES = {
+    "gaussian": _FamilyEntry(("mean", "sd"),
+                             lambda mean, sd: _mixture_family([1.0], [mean], [sd])),
+    "logistic": _FamilyEntry(("location", "scale"), _logistic_family),
+    "laplace": _FamilyEntry(("location", "scale"), _laplace_family),
+    "gaussian_mixture": _FamilyEntry(("weights", "means", "sds"), _mixture_family, "k"),
+    "grid": _FamilyEntry(("abscissas", "density_values"), None, "n"),
+    "uniform": _FamilyEntry(("lo", "hi"), _uniform_family),
+}
+
+
 def _make_family(spec: DistributionSpec) -> Optional[_Family]:
-    p = spec.params
-    if spec.family == "gaussian":
-        return _mixture_family([1.0], [p["mean"]], [p["sd"]])
-    if spec.family == "logistic":
-        return _logistic_family(float(p["location"]), float(p["scale"]))
-    if spec.family == "laplace":
-        return _laplace_family(float(p["location"]), float(p["scale"]))
-    if spec.family == "gaussian_mixture":
-        return _mixture_family(p["weights"], p["means"], p["sds"])
-    if spec.family == "uniform":
-        return _uniform_family(float(p["lo"]), float(p["hi"]))
-    return None
+    keys, adapter, _ = _FAMILIES[spec.family]
+    return adapter(*(spec.params[k] for k in keys)) if adapter else None
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +614,7 @@ def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:
     fam = _make_family(spec)
 
     if spec.family == "uniform":
-        lo, hi = float(spec.params["lo"]), float(spec.params["hi"])
+        lo, hi = spec.params["lo"], spec.params["hi"]
         xs = np.linspace(lo, hi, n_points)
         fs = np.full(n_points, 1.0 / (hi - lo))
         Fs = (xs - lo) / (hi - lo)

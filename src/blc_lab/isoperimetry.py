@@ -18,16 +18,12 @@ import numpy as np
 from .certify import (
     Certificate,
     CertifyOptions,
-    Status,
+    _normalized_steps,
+    _require_blc,
     _trimmed_range,
     _verdict,
-    certify_blc,
 )
 from .core import GridDensity, SpecError, _write_csv
-
-
-class RequiresCertificateError(ValueError):
-    """Raised when an operation valid only for certified-BLC input gets other input."""
 
 
 @dataclass(frozen=True)
@@ -88,16 +84,6 @@ class ConcentrationReport:
         _write_csv(path, ("r", "empirical", "bound"), zip(self.rs, self.empirical, self.bound))
 
 
-def _require_blc(g: GridDensity, certificate: Optional[Certificate] = None) -> Certificate:
-    cert = certificate if certificate is not None else certify_blc(g, CertifyOptions())
-    if cert.status is not Status.CERTIFIED:
-        raise RequiresCertificateError(
-            f"requires BLC certificate: input is {cert.status.value} "
-            f"({cert.condition_id}, slack {cert.slack:.3g})"
-        )
-    return cert
-
-
 def bobkov_houdre_constant(g: GridDensity) -> float:
     """Essential infimum of f / min(F, 1-F) over the trimmed J(F) nodes."""
     sl = _trimmed_range(g)
@@ -142,13 +128,9 @@ def weak_blc_ratio_check(profile: IsoProfile) -> Certificate:
     """
     if profile.kind not in ("halfspace_1d", "halfspace_nd"):
         raise ValueError("ratio check applies to half-space profiles")
-    ratio = profile.values / profile.ps
-    tiny = np.finfo(float).tiny
-    steps = -np.diff(ratio) / np.maximum(np.maximum(ratio[1:], ratio[:-1]), tiny)
-    k = int(np.argmin(steps))
-    witness = 0.5 * float(profile.ps[k] + profile.ps[k + 1])
-    return _verdict("halfspace_ratio_monotonicity", float(steps[k]), witness,
-                    CertifyOptions().tolerance)
+    ps = profile.ps
+    return _verdict("halfspace_ratio_monotonicity", -_normalized_steps(profile.values / ps),
+                    0.5 * (ps[:-1] + ps[1:]), CertifyOptions().tolerance)
 
 
 def poincare_constant(g: GridDensity, certificate: Optional[Certificate] = None) -> float:

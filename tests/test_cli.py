@@ -45,6 +45,13 @@ def specs(tmp_path):
         "mix_inf_sd": {"family": "gaussian_mixture", "params": {
             "weights": [0.5, 0.5], "means": [-1, 1], "sds": [1, math.inf]}},
         "gauss_text_mean": {"family": "gaussian", "params": {"mean": "abc", "sd": 1}},
+        "gauss_text_number_mean": {"family": "gaussian", "params": {"mean": "1.0", "sd": 1}},
+        "uniform_text_lo": {"family": "uniform", "params": {"lo": "0", "hi": 1}},
+        "mix_text_weight": {"family": "gaussian_mixture", "params": {
+            "weights": ["0.5", 0.5], "means": [-1, 1], "sds": [1, 1]}},
+        "logistic_bool_location": {"family": "logistic", "params": {"location": True, "scale": 1}},
+        "gauss_list_mean": {"family": "gaussian", "params": {"mean": [0.0], "sd": 1}},
+        "gauss_null_mean": {"family": "gaussian", "params": {"mean": None, "sd": 1}},
         "mix_ragged_means": {"family": "gaussian_mixture", "params": {
             "weights": [0.5, 0.5], "means": [[-1, 0], 1], "sds": [1, 1]}},
         "gauss2d": {
@@ -111,7 +118,10 @@ class TestCertifyCommand:
         assert code == 3
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["gauss_text_mean", "mix_ragged_means"])
+    @pytest.mark.parametrize("name", ["gauss_text_mean", "mix_ragged_means",
+                                      "gauss_text_number_mean", "uniform_text_lo",
+                                      "mix_text_weight", "logistic_bool_location",
+                                      "gauss_list_mean", "gauss_null_mean"])
     def test_non_numeric_parameter_is_a_spec_error(self, specs, tmp_path, capsys, name):
         code = main(["certify", "--spec", specs[name], "-o", str(tmp_path / "o")])
         assert code == 3
@@ -146,12 +156,15 @@ class TestCertifyCommand:
         ["iso", "--spec", "mix134", "--rgrid", "0.5:6:x"],
         ["iso", "--spec", "mix134", "--rgrid", "0.5:inf:5"],
         ["iso", "--spec", "mix30", "--rgrid", "nan:6:5"],
+        ["iso", "--spec", "mix30", "--rgrid=-1:2:5"],
+        ["smooth", "--spec", "mix134", "--sigmas=,"],
     ], ids=" ".join)
     def test_bad_argument_value_exit_three(self, specs, tmp_path, capsys, argv):
         argv = [specs.get(a, a) for a in argv]
         code = main(argv + ["--n", "256", "-o", str(tmp_path / "o")])
         assert code == 3
         assert "blc-lab: error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # nothing is written
 
 
 class TestIsoCommand:

@@ -335,6 +335,15 @@ class TestCovarianceCriterion:
         assert report.verdict is Verdict.INCONCLUSIVE
         assert len(report.skipped) == 2
 
+    @pytest.mark.parametrize("spec", [DistributionSpec.laplace(0.0, 0.01),
+                                      DistributionSpec.logistic(0.0, 0.01)],
+                             ids=lambda s: s.label())
+    def test_narrow_factor_far_tails_raise_no_warning(self, spec):
+        # the wide Gaussian's grid reaches thousands of scales into X's tails,
+        # where the Laplace and logistic CDFs used to overflow exp
+        report = covariance_criterion(grid_of(spec), grid_of(DistributionSpec.gaussian(0.0, 10.0)))
+        assert report.verdict is Verdict.STABLE
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_rejected(self, gauss, tol):
         # a NaN tolerance used to certify anything and report Unstable here
@@ -485,5 +494,10 @@ class TestSmoothSequence:
             smooth_sequence(mix134, [0.1, 0.5])
 
     def test_requires_certified_input(self, mix30):
-        with pytest.raises(RequiresCertificateError):
+        with pytest.raises(RequiresCertificateError) as exc:
             smooth_sequence(mix30, [0.5])
+        assert type(exc.value) is RequiresCertificateError
+
+    def test_requires_sigmas(self, mix134):
+        with pytest.raises(SpecError, match="empty"):
+            smooth_sequence(mix134, [])

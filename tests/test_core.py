@@ -74,6 +74,25 @@ class TestMaterialize:
         with pytest.raises(SpecError, match="invalid spec"):
             DistributionSpec.uniform(1.0, 1.0)
 
+    def test_params_are_converted_once(self):
+        spec = DistributionSpec.from_json({"family": "gaussian_mixture", "params": {
+            "weights": [1, 0], "means": [0, 2], "sds": [1, 3]}})
+        assert spec.params == {"weights": [1.0, 0.0], "means": [0.0, 2.0], "sds": [1.0, 3.0]}
+        assert all(type(v) is float for vals in spec.params.values() for v in vals)
+        assert spec == DistributionSpec.gaussian_mixture([1.0, 0.0], [0.0, 2.0], [1.0, 3.0])
+        assert DistributionSpec.from_json(
+            {"family": "laplace", "params": {"location": 0, "scale": 2}}).label() == "laplace(0,2)"
+
+    @pytest.mark.parametrize("family", ["laplace", "logistic"])
+    def test_far_tail_cdf_raises_no_warning(self, family):
+        cdf = core._make_family(DistributionSpec(family, {"location": 0.0, "scale": 1.0})).cdf
+        zs = np.array([-800.0, -700.0, -0.0, 0.0, 700.0, 800.0])
+        F = cdf(zs)
+        assert F[0] == 0.0 and F[-1] == 1.0 and np.all(np.diff(F) >= 0)
+        if family == "laplace":
+            tails = [0.5 * math.exp(-abs(z)) for z in zs]
+            assert F.tolist() == [t if z < 0 else 1.0 - t for z, t in zip(zs, tails)]
+
     @pytest.mark.parametrize("bad", [("abscissas", 3, math.inf),
                                      ("abscissas", 0, math.nan),
                                      ("density_values", 3, math.inf),

@@ -6,6 +6,7 @@ import pytest
 
 from blc_lab import (
     DistributionSpec,
+    IsoProfile,
     RequiresCertificateError,
     Status,
     blc_isoperimetric_constant,
@@ -97,8 +98,9 @@ class TestIsoperimetricConstants:
         assert blc_isoperimetric_constant(mix134) == pytest.approx(2 * phi134, abs=1e-6)
 
     def test_requires_certificate(self, mix30):
-        with pytest.raises(RequiresCertificateError, match="requires BLC certificate"):
+        with pytest.raises(RequiresCertificateError, match="requires BLC certificate") as exc:
             blc_isoperimetric_constant(mix30)
+        assert type(exc.value) is RequiresCertificateError
 
     @pytest.mark.parametrize("spec", AGREEMENT_CORPUS, ids=lambda s: s.label())
     def test_formula_agreement_on_corpus(self, spec):
@@ -122,6 +124,14 @@ class TestRatioCheck:
     def test_wide_mixture_ratio_violated(self, mix30):
         cert = weak_blc_ratio_check(halfspace_profile_1d(mix30, PS99))
         assert cert.status is Status.VIOLATED
+
+    def test_nan_slack_is_violated(self):
+        # infinite profile values make the ratio steps NaN, which must not certify
+        prof = IsoProfile(ps=[0.1, 0.2, 0.3, 0.4], values=[1.0, 0.5, math.inf, math.inf],
+                          kind="halfspace_1d")
+        cert = weak_blc_ratio_check(prof)
+        assert cert.status is Status.VIOLATED
+        assert math.isnan(cert.slack) and cert.witness_x == pytest.approx(0.25)
 
     def test_full_profile_rejected(self, gauss):
         with pytest.raises(ValueError, match="half-space"):
