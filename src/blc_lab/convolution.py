@@ -3,20 +3,21 @@
 The density of X+Y is the quadrature ``f_Z(x) = int f_X(x - y) f_Y(y) dy``
 on Y's grid; the CDF comes from the companion identity
 ``F_Z(x) = int F_X(x - y) f_Y(y) dy`` rather than from re-integrating f_Z,
-which keeps the tails honest, and f_Z' likewise from f_X'.
+which keeps the tails honest.
 
 When Y's grid is uniform with spacing h, the output nodes are put on Y's
 lattice, ``x_k = x_0 + y_0 + m h k``.  Every difference x_k - y_j is then a
-point ``x_0 + h t`` of one lattice, so X's pdf, cdf and derivative are each
-evaluated once on it and each quadrature sum over all nodes is one FFT
-correlation with ``quad_weights * f_Y``: the same fourth-order rule on the
-same analytic functions, in O(n log n) instead of O(n^2).  The node
-derivatives come from the same pass, so certifying the result does not
-repeat the sum.  Which factor plays Y is decided by the factors, not the
-argument order (see :func:`_roles`); a tabulated factor plays Y unless the
-other one is uniform, so X is interpolated (:meth:`GridDensity.functions`)
-only when both are tabulated.  A non-uniform Y grid keeps the direct O(n^2)
-sum, and so do off-node derivative queries and :func:`upper_tail_at`.
+point ``x_0 + h t`` of one lattice, so X's pdf and cdf are each evaluated
+once on it and each quadrature sum over all nodes is one FFT correlation
+with ``quad_weights * f_Y``: the same fourth-order rule on the same
+analytic functions, in O(n log n) instead of O(n^2).  Which factor plays Y
+is decided by the factors, not the argument order (see :func:`_roles`); a
+tabulated factor plays Y unless the other one is uniform, so X is
+interpolated (:meth:`GridDensity.functions`) only when both are tabulated.
+A non-uniform Y grid keeps the direct O(n^2) sum, and so does
+:func:`upper_tail_at`.  The result carries node values only: where its
+density derivative is read, it comes from finite differences, as for any
+tabulated density.
 
 Stability of bi-log-concavity under the convolution is characterized by two
 covariance conditions: with a(y) = (-log f_Y)'(y),
@@ -105,9 +106,9 @@ def _lattice_sums(fns, start: float, u_ref: float, gY: GridDensity,
     of one lattice, so each fn is evaluated once on its m (n_out - 1) + n_Y
     points and the sums are a correlation with wf = quad_weights * f_Y, done
     by one real FFT.  The lattice is laid out from ``u_ref``, one of its
-    points, which is then hit exactly (X's kink, where the derivative takes
-    its convention value).  The transform length is at least the lattice
-    length, so nothing wraps around into the entries read back.
+    points, which is then hit exactly (X's kink, which thus meets Y's grid on
+    a node).  The transform length is at least the lattice length, so
+    nothing wraps around into the entries read back.
     """
     n_y, h = len(gY), _spacing(gY)
     size = m * (n_out - 1) + n_y
@@ -120,20 +121,6 @@ def _lattice_sums(fns, start: float, u_ref: float, gY: GridDensity,
     return full[:, n_y - 1:size:m]
 
 
-def _nodes_or_direct(xs: np.ndarray, node_vals: np.ndarray, direct: Callable) -> Callable:
-    """Derivative callable: precomputed values at nodes, ``direct`` elsewhere."""
-    def dpdf_Z(x):
-        x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        idx = np.minimum(np.searchsorted(xs, flat), len(xs) - 1)
-        hit = xs[idx] == flat
-        out = node_vals[idx]
-        if not hit.all():
-            out[~hit] = direct(flat[~hit])
-        return out.reshape(x.shape)
-    return dpdf_Z
-
-
 def convolve(gX: GridDensity, gY: GridDensity) -> GridDensity:
     """Density of X+Y on a uniform grid spanning the summed supports.
 
@@ -144,38 +131,34 @@ def convolve(gX: GridDensity, gY: GridDensity) -> GridDensity:
     supports as a node.
     When Y's grid is uniform with spacing h the nodes are Y's lattice points
     ``x_0 + y_0 + m h k``, with ``m`` the largest step that still gives at
-    least n nodes (so between n and about 2n of them), and f_Z, F_Z and
-    f_Z' at every node come from one FFT pass.  If X has a kink
-    (Laplace) the nodes shift by less than 2h and ``m`` is even (unless 1),
-    so that the kink meets Y's grid on an even node at every output node.
-    f_Z' off the nodes is summed directly, so it stays exact (for a
-    tabulated X it is summed from X's finite differences).
+    least n nodes (so between n and about 2n of them), and f_Z and F_Z at
+    every node come from one FFT pass.  If X has a kink (Laplace) the nodes
+    shift by less than 2h and ``m`` is even (unless 1), so that the kink
+    meets Y's grid on an even node at every output node.
 
     A tabulated (non-uniform) Y gets n evenly spaced nodes and direct O(n^2)
     sums, and so does a Y too coarse for n nodes or so fine that its lattice
     would hold more than a quarter of the n * n_Y points of the direct sums.
 
     A uniform factor's density is discontinuous, so sampling it inside the
-    quadrature would cost a full order of accuracy; its f_Z and f_Z' are
-    taken in closed form from X's CDF and density instead, and only F_Z is
-    summed.
+    quadrature would cost a full order of accuracy; its f_Z is taken in
+    closed form from X's CDF instead, and only F_Z is summed.
     """
     gX, gY = _roles(gX, gY)
     n = max(len(gX), len(gY))
-    xs, fs, Fs, dpdf_Z = _node_sums(gX, gY, n + 1 - n % 2)
+    xs, fs, Fs = _node_sums(gX, gY, n + 1 - n % 2)
     Fs = np.maximum.accumulate(np.clip(Fs, 0.0, 1.0))
     return GridDensity(xs=xs, fs=np.maximum(fs, 0.0), Fs=Fs,
-                       label=f"conv[{gX.label},{gY.label}]", dpdf_fn=dpdf_Z)
+                       label=f"conv[{gX.label},{gY.label}]")
 
 
 def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
-    """Nodes of X+Y with f_Z and F_Z there (unclipped) and the f_Z' callable.
+    """Nodes of X+Y with f_Z and F_Z there (unclipped).
 
     The factors come in their roles; ``n`` is the least node count.
     """
-    pdf_X, cdf_X, dpdf_X = gX.functions()
+    pdf_X, cdf_X = gX.functions()
     box = gY.uniform_bounds is not None
-    ys, wf = gY.xs, gY.quad_weights * gY.fs
     lo = gX.xs[0] + gY.xs[0]
     span = (gX.xs[-1] - gX.xs[0]) + (gY.xs[-1] - gY.xs[0])
     h = _spacing(gY)
@@ -183,7 +166,7 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     # the direct sums (a very fine Y) it is measured to be no faster
     lattice = h is not None and (n - 1) * h <= span < n * len(gY) * h / 4
 
-    fns = [cdf_X] if box else [pdf_X, cdf_X, dpdf_X]
+    fns = [cdf_X] if box else [pdf_X, cdf_X]
     if lattice:
         m = max(1, int(span / ((n - 1) * h)))
         start, u_ref = lo, gX.xs[0]
@@ -198,45 +181,29 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
         n_out = int(math.ceil((lo + span - start) / (m * h) - 1e-9)) + 1
         xs = start + m * h * np.arange(n_out)
         sums = _lattice_sums(fns, start, u_ref, gY, m, n_out)
-    else:  # direct sums; f_Z' is summed only where it is asked for
+    else:
         xs = np.linspace(lo, gX.xs[-1] + gY.xs[-1], n)
-        sums = [_eval_outer(fn, xs, ys, wf) for fn in fns[:2]]
+        sums = [_eval_outer(fn, xs, gY.xs, gY.quad_weights * gY.fs) for fn in fns]
 
     if box:
-        fs, dpdf_Z = _box_density(gX, gY, xs)
-        return xs, fs, sums[0], dpdf_Z
-    fs, Fs = sums[0], sums[1]
-
-    def direct_dpdf(x):
-        return _eval_outer(dpdf_X, np.atleast_1d(x), ys, wf)
-
-    if lattice:
-        return xs, fs, Fs, _nodes_or_direct(xs, sums[2], direct_dpdf)
-    return xs, fs, Fs, direct_dpdf
+        return xs, _box_density(gX, gY, xs), sums[0]
+    return xs, sums[0], sums[1]
 
 
-def _box_density(gX: GridDensity, gY: GridDensity, xs: np.ndarray):
-    """Closed-form f_Z and f_Z' for a uniform factor Y on [lo, hi].
+def _box_density(gX: GridDensity, gY: GridDensity, xs: np.ndarray) -> np.ndarray:
+    """Closed-form f_Z for a uniform factor Y on [lo, hi].
 
-    f_Z(x) = (F_X(x - lo) - F_X(x - hi)) / (hi - lo), and likewise f_Z' from
-    the densities.
+    f_Z(x) = (F_X(x - lo) - F_X(x - hi)) / (hi - lo).
     """
     lo, hi = gY.uniform_bounds
-    width = hi - lo
-    pdf_X, cdf_X, _ = gX.functions()
-    fs = (np.asarray(cdf_X(xs - lo), float) - np.asarray(cdf_X(xs - hi), float)) / width
-
-    def dpdf_Z(x, _p=pdf_X, _lo=lo, _hi=hi, _w=width):
-        x = np.asarray(x, dtype=float)
-        return (np.asarray(_p(x - _lo), float) - np.asarray(_p(x - _hi), float)) / _w
-
-    return fs, dpdf_Z
+    cdf_X = gX.functions()[1]
+    return (np.asarray(cdf_X(xs - lo), float) - np.asarray(cdf_X(xs - hi), float)) / (hi - lo)
 
 
 def upper_tail_at(gX: GridDensity, gY: GridDensity, x) -> np.ndarray | float:
     """1 - F_{X+Y}(x) by direct quadrature of the complementary identity."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _, cdf_X, _ = gX.functions()
+    cdf_X = gX.functions()[1]
     wf = gY.quad_weights * gY.fs
     out = _eval_outer(lambda u: 1.0 - cdf_X(u), x_arr, gY.xs, wf)
     return float(out[0]) if np.isscalar(x) else out
@@ -268,7 +235,7 @@ def weighted_measure(gX: GridDensity, gY: GridDensity, x: float,
     """Tilted copy of Y entering the covariance criterion at anchor x."""
     if kind not in ("lower", "upper"):
         raise ValueError("kind must be 'lower' or 'upper'")
-    _, cdf_X, _ = gX.functions()
+    cdf_X = gX.functions()[1]
     Fx = np.asarray(cdf_X(x - gY.xs), dtype=float)
     raw = gY.fs * (Fx if kind == "lower" else 1.0 - Fx)
     normalizer = float(np.sum(gY.quad_weights * raw))
@@ -315,7 +282,7 @@ def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
     tilted measures carry more than ``MASS_TOL``.  Nodes outside ``alive`` or
     where the tilt vanishes get zero weight.
     """
-    pdf_X, cdf_X, _ = gX.functions()
+    pdf_X, cdf_X = gX.functions()
     u = xs[:, None] - gY.xs[None, :]
     Fx = np.asarray(cdf_X(u), dtype=float)
     fx = np.asarray(pdf_X(u), dtype=float)

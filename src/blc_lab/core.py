@@ -5,9 +5,9 @@ logistic, Laplace, Gaussian mixture, uniform) or as a tabulated density on
 an arbitrary strictly increasing grid.  Either way it is materialized into a
 :class:`GridDensity`: density and CDF values on a common abscissa grid, with
 monotone piecewise-linear interpolation for CDF evaluation and quantile
-inversion.  Analytic families keep closed-form CDFs and density derivatives
-attached so that downstream shape checks are not polluted by quadrature
-noise.
+inversion.  Analytic families keep their closed-form pdf, CDF and density
+derivative attached, so that convolution sums evaluate a factor exactly
+off its nodes; a tabulated density takes finite differences for f'.
 """
 from __future__ import annotations
 
@@ -492,8 +492,8 @@ class GridDensity:
             object.__setattr__(self, "total_mass", self.quadrature_mass())
         if abs(self.total_mass - 1.0) > MASS_TOL:
             raise DegenerateDensityError(
-                f"degenerate density: total mass {self.total_mass:.6g} not within "
-                f"{MASS_TOL:g} of 1"
+                f"degenerate density: total mass misses 1 by {self.total_mass - 1.0:+.3g} "
+                f"(tolerance {MASS_TOL:g})"
             )
 
     # -- basic queries ------------------------------------------------------
@@ -541,29 +541,28 @@ class GridDensity:
     def in_J(self, x) -> bool:
         return self.xs[self.j_lo] <= x <= self.xs[self.j_hi]
 
-    def functions(self) -> tuple[Callable, Callable, Callable]:
-        """pdf, cdf and density derivative: exact when the family has them.
+    def functions(self) -> tuple[Callable, Callable]:
+        """pdf and cdf: exact when the family has them, else interpolated at the nodes."""
+        return (self.pdf_fn or self.pdf, self.cdf_fn or self.cdf)
 
-        A tabulated density interpolates its nodes, and its derivative
-        interpolates the finite differences there.
-        """
-        def dpdf_tab(x):
-            return np.interp(x, self.xs, self._fd_derivs)
-
-        return (self.pdf_fn or self.pdf, self.cdf_fn or self.cdf, self.dpdf_fn or dpdf_tab)
+    def _derivative(self, x) -> np.ndarray:
+        """The family's density derivative, else interpolated finite differences."""
+        if self.dpdf_fn is not None:
+            return self.dpdf_fn(x)
+        return np.interp(x, self.xs, self._fd_derivs)
 
     def density_derivative(self, x) -> np.ndarray | float:
-        """Derivative of the density inside J(F) (see :meth:`functions`)."""
+        """Derivative of the density inside J(F) (see :meth:`_derivative`)."""
         x_arr = np.asarray(x, dtype=float)
         lo, hi = self.xs[self.j_lo], self.xs[self.j_hi]
         if np.any((x_arr < lo) | (x_arr > hi)):
             raise DomainError("outside J(F)")
-        out = self.functions()[2](x_arr)
+        out = self._derivative(x_arr)
         return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
     def node_derivatives(self) -> np.ndarray:
-        """Density derivative at every grid node (see :meth:`functions`)."""
-        return np.asarray(self.functions()[2](self.xs), dtype=float)
+        """Density derivative at every grid node (see :meth:`_derivative`)."""
+        return np.asarray(self._derivative(self.xs), dtype=float)
 
     # -- moments ------------------------------------------------------------
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from blc_lab import (
     Certificate,
@@ -16,7 +17,7 @@ from blc_lab import (
     check_log_concave,
     materialize,
 )
-from blc_lab.certify import combined_status
+from blc_lab.certify import _trimmed_range, combined_status
 
 from conftest import (
     AGREEMENT_CORPUS,
@@ -34,6 +35,16 @@ from conftest import (
 
 def deciles(g):
     return g.quantile(np.linspace(0.1, 0.9, 9))
+
+
+def mixture_blc_margins(spec, x):
+    """min(1 - f'F/f^2, 1 + f'(1-F)/f^2) of a Gaussian mixture, in closed form."""
+    w, mu, sd = (np.asarray(spec.params[k]) for k in ("weights", "means", "sds"))
+    z = (x[:, None] - mu) / sd
+    comp = w * np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
+    f, fp = comp.sum(axis=1), (comp * -z / sd).sum(axis=1)
+    F, S = (w * ndtr(z)).sum(axis=1), (w * ndtr(-z)).sum(axis=1)
+    return np.minimum(1.0 - fp * F / f**2, 1.0 + fp * S / f**2)
 
 
 class TestHazards:
@@ -155,6 +166,19 @@ class TestCertifyBlc:
         assert cert.status is Status.VIOLATED
         assert cert.condition_id.startswith("blc:")
 
+    @pytest.mark.parametrize("spec", [
+        MIX_30, mixture_spec(2.0),
+        DistributionSpec.gaussian_mixture([0.3, 0.7], [-1.5, 2.0], [0.6, 1.1]),
+    ], ids=["sep3", "sep2", "asymmetric"])
+    def test_violated_slack_is_the_closed_form_margin(self, spec):
+        # the margins are the derivatives of F/f and -(1-F)/f, so the slack
+        # is their worst value over the trimmed nodes
+        g = grid_of(spec)
+        cert = certify_blc(g)
+        want = mixture_blc_margins(spec, g.xs[_trimmed_range(g)]).min()
+        assert cert.status is Status.VIOLATED
+        assert cert.slack == pytest.approx(want, rel=1e-3)
+
     def test_combined_status_precedence(self):
         def certs(*statuses):
             return [Certificate(s, 0.0, "test", 1e-7) for s in statuses]
@@ -192,6 +216,13 @@ class TestMonotoneRefinement:
     def test_certified_survives_refinement(self, spec):
         verdicts = [certify_blc(grid_of(spec, n=n)).status for n in (1024, 2048, 4096)]
         assert all(v is Status.CERTIFIED for v in verdicts)
+
+    def test_gaussian_slack_converges(self):
+        # the slack tends to the worst margin instead of shrinking with the
+        # node spacing
+        slacks = [certify_blc(grid_of(GAUSSIAN, n=n)).slack for n in (256, 1024, 4096)]
+        assert min(slacks) > 0.04
+        assert max(slacks) - min(slacks) <= 2e-3
 
     def test_violated_survives_refinement(self):
         verdicts = [certify_blc(grid_of(MIX_30, n=n)).status for n in (1024, 2048, 4096)]

@@ -65,12 +65,10 @@ class TestConvolve:
     @pytest.mark.parametrize("tabulated_first", [False, True])
     def test_mixture_with_tabulated_gaussian_closed_form(self, tabulated_first):
         # in both orders the tabulated factor carries the direct sums on its
-        # own (trapezoid-weighted) nodes with the mixture's exact functions,
-        # derivative included
+        # own (trapezoid-weighted) nodes with the mixture's exact functions
         mix = grid_of(mixture_spec(1.0, sd=0.8), n=1024)
         tab = materialize(tabulated_spec(DistributionSpec.gaussian(0.3, 0.7), 1001))
         gZ = convolve(tab, mix) if tabulated_first else convolve(mix, tab)
-        assert gZ.dpdf_fn is not None
         sd = math.sqrt(0.8**2 + 0.7**2)
         f = 0.5 * norm_pdf(gZ.xs, -0.7, sd) + 0.5 * norm_pdf(gZ.xs, 1.3, sd)
         F = 0.5 * ndtr((gZ.xs + 0.7) / sd) + 0.5 * ndtr((gZ.xs - 1.3) / sd)
@@ -140,13 +138,14 @@ class TestConvolve:
             gZ = convolve(gX, gY)
             assert abs(gZ.total_mass - 1.0) <= MASS_TOL
 
-    def test_off_node_derivative_is_summed_directly(self, mix134, gauss):
-        gZ = convolve(mix134, gauss)
-        gX, gY = _roles(mix134, gauss)
-        mid = 0.5 * (gZ.xs[1:] + gZ.xs[:-1])[gZ.j_lo:gZ.j_hi:97]
-        direct = _eval_outer(gX.dpdf_fn, mid, gY.xs, gY.quad_weights * gY.fs)
-        assert np.array_equal(gZ.density_derivative(mid), direct)
-        assert gZ.density_derivative(float(mid[0])) == pytest.approx(direct[0], rel=1e-14)
+    def test_missed_mass_reports_its_deviation(self):
+        # the message carries the signed deviation, which rounding the mass
+        # itself to six digits would print as "1"
+        gX = grid_of(DistributionSpec.laplace(2.0, 1.3), n=256)
+        gY = grid_of(DistributionSpec.logistic(-1.0, 0.5), n=256)
+        with pytest.raises(DegenerateDensityError,
+                           match=r"total mass misses 1 by \+3\.9\de-06 \(tolerance 1e-06\)"):
+            convolve(gX, gY)
 
     def test_nodes_on_inner_lattice_respect_minimum_count(self, mix134):
         # at least as many nodes as the larger factor has (made odd), on the
@@ -202,19 +201,13 @@ def _factor_specs(draw):
 def test_lattice_sums_equal_direct_sums(sx, sy, n):
     # the FFT pass is the same quadrature as summing over Y's grid directly
     gX, gY = _roles(materialize(sx, n_points=n), materialize(sy, n_points=n))
-    xs, fs, Fs, dpdf_Z = _node_sums(gX, gY, n + 1)
+    xs, fs, Fs = _node_sums(gX, gY, n + 1)
     assert len(xs) >= n + 1
-    pdf_X, cdf_X, dpdf_X = gX.functions()
+    pdf_X, cdf_X = gX.functions()
     wf = gY.quad_weights * gY.fs
     assert np.abs(Fs - _eval_outer(cdf_X, xs, gY.xs, wf)).max() <= 1e-13
-    if gY.uniform_bounds is None:  # else f_Z and f_Z' are closed forms
+    if gY.uniform_bounds is None:  # else f_Z is a closed form
         assert np.abs(fs - _eval_outer(pdf_X, xs, gY.xs, wf)).max() <= 1e-13
-        if gX.kink_x is not None:
-            # the lattice meets X's kink exactly, where f_X' takes its
-            # convention value; x_k - y_j only rounds to it
-            kink, d = gX.kink_x, dpdf_X
-            dpdf_X = lambda u: d(np.where(np.abs(u - kink) <= 1e-9, kink, u))  # noqa: E731
-        assert np.abs(dpdf_Z(xs) - _eval_outer(dpdf_X, xs, gY.xs, wf)).max() <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -407,6 +400,20 @@ class TestStabilityUnderLogConcave:
         assert check_log_concave(gY).status is Status.CERTIFIED
         gZ = convolve(gX, gY)
         assert certify_blc(gZ, CertifyOptions(tolerance=1e-6)).status is Status.CERTIFIED
+
+    @pytest.mark.parametrize("sx,sy", [
+        (DistributionSpec.gaussian(0.0, 0.01), DistributionSpec.uniform(-10.0, 10.0)),
+        (tabulated_spec(DistributionSpec.gaussian(-0.2, 1.1), 401),
+         tabulated_spec(DistributionSpec.logistic(0.3, 0.5), 401)),
+    ], ids=["narrow-gaussian-box", "two-tabulated"])
+    def test_log_concave_sums_certify_without_a_derivative(self, sx, sy):
+        # an f' summed on the box's coarse lattice, or taken from a tabulated
+        # factor's finite differences, is too rough at the box edges and in
+        # the logistic's tail to certify these sums; node values suffice
+        gX, gY = materialize(sx, n_points=2048), materialize(sy, n_points=2048)
+        for a, b in ((gX, gY), (gY, gX)):
+            cert = certify_blc(convolve(a, b), CertifyOptions(tolerance=CONV_CERTIFY_TOL))
+            assert cert.certified, cert.slack
 
 
 @st.composite
