@@ -44,14 +44,11 @@ from .convolution import (
     ConvolutionCriterionReport,
     SmoothingStep,
     Verdict,
-    WeightedMeasure,
     check_convolution_blc_consistency,
     convolve,
     covariance_criterion,
     integration_by_parts_check,
     smooth_sequence,
-    upper_tail_at,
-    weighted_measure,
 )
 from .multivariate import (
     DirectionScan,
@@ -85,7 +82,6 @@ __all__ = [
     "Status",
     "SymmetricMixtureNd",
     "Verdict",
-    "WeightedMeasure",
     "blc_isoperimetric_constant",
     "bobkov_houdre_constant",
     "certify_blc",
@@ -107,10 +103,8 @@ __all__ = [
     "poincare_constant",
     "project_to_line",
     "smooth_sequence",
-    "upper_tail_at",
     "variance_functional",
     "weak_blc_check_nd",
     "weak_blc_ratio_check",
     "weak_star_check",
-    "weighted_measure",
 ]

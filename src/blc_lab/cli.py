@@ -96,7 +96,10 @@ def _cmd_certify(args, opts):
 
 def _cmd_iso(args, opts):
     ps, rs = _parse_range(args.pgrid), _parse_range(args.rgrid)
-    if rs[0] <= 0.0:  # checked before anything is written
+    # both checked before anything is written
+    if not (0.0 < ps[0] and ps[-1] < 1.0):
+        raise SpecError("invalid spec: profile points must lie strictly inside (0, 1)")
+    if rs[0] <= 0.0:
         raise SpecError("invalid spec: radii must be > 0")
     g = _grid(args.spec, args.n)
     out = _out_dir(args)
@@ -172,12 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_flags=("--spec", "-s")):
+    def common(p, spec_flags=("--spec", "-s"), tol=True):
         if spec_flags:
             p.add_argument(*spec_flags, required=True, help="distribution spec JSON")
         p.add_argument("--out", "-o", default=".", help="output directory")
         p.add_argument("--n", type=int, default=2048, help="grid resolution")
-        p.add_argument("--tol", type=float, default=1e-7, help="certificate tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-7, help="certificate tolerance")
 
     p = sub.add_parser("certify", help="certify bi-log-concavity of a spec")
     common(p)
@@ -202,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_criterion)
 
     p = sub.add_parser("smooth", help="Gaussian smoothing sequence with L_p distances")
-    common(p)
+    common(p, tol=False)  # each smoothed density is certified at CONV_CERTIFY_TOL
     p.add_argument("--sigmas", default="1,0.5,0.25,0.1", help="decreasing bandwidths")
     p.set_defaults(fn=_cmd_smooth)
 
@@ -222,7 +226,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        outcome, name, summary = args.fn(args, CertifyOptions(tolerance=args.tol))
+        opts = CertifyOptions(tolerance=args.tol) if "tol" in args else None
+        outcome, name, summary = args.fn(args, opts)
     except (SpecError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"blc-lab: error: {exc}", file=sys.stderr)
         return 3

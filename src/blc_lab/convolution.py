@@ -14,10 +14,9 @@ analytic functions, in O(n log n) instead of O(n^2).  Which factor plays Y
 is decided by the factors, not the argument order (see :func:`_roles`); a
 tabulated factor plays Y unless the other one is uniform, so X is
 interpolated (:meth:`GridDensity.functions`) only when both are tabulated.
-A non-uniform Y grid keeps the direct O(n^2) sum, and so does
-:func:`upper_tail_at`.  The result carries node values only: where its
-density derivative is read, it comes from finite differences, as for any
-tabulated density.
+A non-uniform Y grid keeps the direct O(n^2) sum.  The result carries node
+values only: where its density derivative is read, it comes from finite
+differences, as for any tabulated density.
 
 Stability of bi-log-concavity under the convolution is characterized by two
 covariance conditions: with a(y) = (-log f_Y)'(y),
@@ -26,9 +25,10 @@ covariance conditions: with a(y) = (-log f_Y)'(y),
     cov_{mbar_x}( a, -f_X/(1-F_X) (x - .) )    >= 0   for all x in J(F_Z),
 
 where m_x and mbar_x weight Y's grid by f_Y(y) F_X(x-y) and
-f_Y(y) (1-F_X)(x-y).  The first condition is equivalent to log-concavity of
-F_Z, the second to log-concavity of 1-F_Z; both follow from Chebyshev's
-association inequality whenever Y is log-concave, since each second argument
+f_Y(y) (1-F_X)(x-y); both are built in :func:`_anchor_covariances` only.
+The first condition is equivalent to log-concavity of F_Z, the second to
+log-concavity of 1-F_Z; both follow from Chebyshev's association
+inequality whenever Y is log-concave, since each second argument
 is monotone in y for bi-log-concave X.
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -48,11 +48,11 @@ from .core import (
     MASS_TOL,
     DegenerateDensityError,
     DistributionSpec,
-    DomainError,
     GridDensity,
     SpecError,
     materialize,
     _is_uniform,
+    _node_values,
     _write_csv,
 )
 
@@ -200,49 +200,10 @@ def _box_density(gX: GridDensity, gY: GridDensity, xs: np.ndarray) -> np.ndarray
     return (np.asarray(cdf_X(xs - lo), float) - np.asarray(cdf_X(xs - hi), float)) / (hi - lo)
 
 
-def upper_tail_at(gX: GridDensity, gY: GridDensity, x) -> np.ndarray | float:
-    """1 - F_{X+Y}(x) by direct quadrature of the complementary identity."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    cdf_X = gX.functions()[1]
-    wf = gY.quad_weights * gY.fs
-    out = _eval_outer(lambda u: 1.0 - cdf_X(u), x_arr, gY.xs, wf)
-    return float(out[0]) if np.isscalar(x) else out
-
-
 class Verdict(str, enum.Enum):
     STABLE = "Stable"
     UNSTABLE = "Unstable"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class WeightedMeasure:
-    """Probability measure on Y's grid weighting y by F_X(x-y) or its complement."""
-
-    anchor_x: float
-    ys: np.ndarray
-    weights: np.ndarray  # normalized density values at ys
-    normalizer: float    # F_{X+Y}(anchor) for kind=lower, else its complement
-    kind: str            # lower | upper
-    quad_weights: np.ndarray = field(repr=False)  # Y's cached quadrature weights
-
-    def expectation(self, values: np.ndarray) -> float:
-        return float(np.sum(self.quad_weights * self.weights * values))
-
-
-def weighted_measure(gX: GridDensity, gY: GridDensity, x: float,
-                     kind: str = "lower") -> WeightedMeasure:
-    """Tilted copy of Y entering the covariance criterion at anchor x."""
-    if kind not in ("lower", "upper"):
-        raise ValueError("kind must be 'lower' or 'upper'")
-    cdf_X = gX.functions()[1]
-    Fx = np.asarray(cdf_X(x - gY.xs), dtype=float)
-    raw = gY.fs * (Fx if kind == "lower" else 1.0 - Fx)
-    normalizer = float(np.sum(gY.quad_weights * raw))
-    if not (MASS_TOL < normalizer < 1.0):
-        raise DomainError("outside J(F): anchor carries no usable mass")
-    return WeightedMeasure(anchor_x=float(x), ys=gY.xs, weights=raw / normalizer,
-                           normalizer=normalizer, kind=kind, quad_weights=gY.quad_weights)
 
 
 @dataclass(frozen=True)
@@ -377,17 +338,14 @@ def integration_by_parts_check(
 ) -> tuple[float, float]:
     """Compare E[g'] with cov(g, phi') for phi = -log(density of nu).
 
-    Returns the two quadrature values (lhs, rhs).  The identity needs the
-    boundary-decay hypothesis f(x) (g(x) - E[g]) -> 0 at the grid edges,
-    which is checked numerically (|f (g - E[g])| <= 1e-6 there); densities
-    vanishing at an interior node leave phi' undefined and are rejected.
+    ``test_g`` is a callable evaluated at the grid nodes or an array of node
+    values, finite either way.  Returns the two quadrature values (lhs, rhs).
+    The identity needs the boundary-decay hypothesis f(x) (g(x) - E[g]) -> 0
+    at the grid edges, which is checked numerically (|f (g - E[g])| <= 1e-6
+    there); densities vanishing at an interior node leave phi' undefined and
+    are rejected.
     """
-    if callable(test_g):
-        gv = np.asarray(test_g(nu.xs), dtype=float)
-    else:
-        gv = np.asarray(test_g, dtype=float)
-        if gv.shape != nu.xs.shape:
-            raise ValueError("sampled test function must match the grid length")
+    gv = _node_values(nu, test_g)
     interior = nu.fs[1:-1]
     if np.any(interior <= 0.0):
         raise DegenerateDensityError(

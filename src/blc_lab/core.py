@@ -5,9 +5,10 @@ logistic, Laplace, Gaussian mixture, uniform) or as a tabulated density on
 an arbitrary strictly increasing grid.  Either way it is materialized into a
 :class:`GridDensity`: density and CDF values on a common abscissa grid, with
 monotone piecewise-linear interpolation for CDF evaluation and quantile
-inversion.  Analytic families keep their closed-form pdf, CDF and density
-derivative attached, so that convolution sums evaluate a factor exactly
-off its nodes; a tabulated density takes finite differences for f'.
+inversion.  Analytic families keep their closed-form pdf and CDF attached,
+so that convolution sums evaluate a factor exactly off its nodes.  The
+density derivative is read at the nodes only: in closed form for an
+analytic family, else from finite differences.
 """
 from __future__ import annotations
 
@@ -92,7 +93,7 @@ class DistributionSpec:
         doc = _read_json(source)
         if not isinstance(doc, dict) or "family" not in doc:
             raise SpecError("invalid spec: missing 'family' field")
-        return DistributionSpec(str(doc["family"]), dict(doc.get("params", {})))
+        return DistributionSpec(str(doc["family"]), doc.get("params", {}))
 
     def to_json(self) -> str:
         return json.dumps({"family": self.family, "params": self.params}, sort_keys=True)
@@ -127,22 +128,33 @@ def _require(cond: bool, msg: str):
         raise SpecError(f"invalid spec: {msg}")
 
 
+def _json_numbers(value, ndim: int, what: str) -> np.ndarray:
+    """A JSON number (``ndim`` 0) or a rectangular nested list of them, as floats.
+
+    Strings, booleans, nulls and ragged lists are refused, not converted, and
+    so are non-finite values.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged list
+        raise SpecError(f"invalid spec: {what} must be numbers") from exc
+    _require(arr.dtype.kind in "iuf" and arr.ndim == ndim, f"{what} must be numbers")
+    arr = arr.astype(float)
+    _require(np.isfinite(arr).all(), f"{what} must be finite")
+    return arr
+
+
 def _convert_params(family: str, params: dict) -> dict:
     """The family's parameters, validated, as floats (lists of floats for vectors).
 
-    A parameter must be a JSON number, or for a vector family a flat list of
-    them; strings and booleans are refused, not converted.
+    ``params`` must be a JSON object whose entries are read by
+    :func:`_json_numbers`: a number, or for a vector family a flat list of them.
     """
     keys, _, count = _FAMILIES[family]
+    _require(isinstance(params, dict), f"{family} parameters must be numbers in a JSON object")
     _require(all(key in params for key in keys), f"{family} needs {', '.join(keys)}")
-    try:
-        values = [np.asarray(params[key]) for key in keys]
-    except ValueError as exc:  # a ragged list
-        raise SpecError(f"invalid spec: {family} parameters must be numbers") from exc
-    _require(all(v.dtype.kind in "iuf" and v.ndim == (1 if count else 0) for v in values),
-             f"{family} parameters must be numbers")
-    values = [v.astype(float) for v in values]
-    _require(all(np.isfinite(v).all() for v in values), f"{family} parameters must be finite")
+    values = [_json_numbers(params[key], 1 if count else 0, f"{family} parameters")
+              for key in keys]
     if family in ("gaussian", "logistic", "laplace"):
         _require(values[1] > 0, f"{family} {keys[1]} must be > 0")
     elif family == "uniform":
@@ -510,10 +522,6 @@ class GridDensity:
         return quadrature_weights(self.xs)
 
     @cached_property
-    def _fd_derivs(self) -> np.ndarray:
-        return np.gradient(self.fs, self.xs, edge_order=2)
-
-    @cached_property
     def _quantile_table(self):
         # keep the first node of every flat CDF run so inversion is leftmost
         keep = np.concatenate(([True], np.diff(self.Fs) > 0))
@@ -545,24 +553,15 @@ class GridDensity:
         """pdf and cdf: exact when the family has them, else interpolated at the nodes."""
         return (self.pdf_fn or self.pdf, self.cdf_fn or self.cdf)
 
-    def _derivative(self, x) -> np.ndarray:
-        """The family's density derivative, else interpolated finite differences."""
-        if self.dpdf_fn is not None:
-            return self.dpdf_fn(x)
-        return np.interp(x, self.xs, self._fd_derivs)
-
-    def density_derivative(self, x) -> np.ndarray | float:
-        """Derivative of the density inside J(F) (see :meth:`_derivative`)."""
-        x_arr = np.asarray(x, dtype=float)
-        lo, hi = self.xs[self.j_lo], self.xs[self.j_hi]
-        if np.any((x_arr < lo) | (x_arr > hi)):
-            raise DomainError("outside J(F)")
-        out = self._derivative(x_arr)
-        return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
-
     def node_derivatives(self) -> np.ndarray:
-        """Density derivative at every grid node (see :meth:`_derivative`)."""
-        return np.asarray(self._derivative(self.xs), dtype=float)
+        """Density derivative at every grid node.
+
+        The family's closed-form f' when it has one, else second-order finite
+        differences of the node values (a tabulated or convolved density).
+        """
+        if self.dpdf_fn is not None:
+            return np.asarray(self.dpdf_fn(self.xs), dtype=float)
+        return np.gradient(self.fs, self.xs, edge_order=2)
 
     # -- moments ------------------------------------------------------------
 
@@ -585,6 +584,19 @@ class GridDensity:
 
     def to_csv(self, path):
         _write_csv(path, ("x", "f", "F"), zip(self.xs, self.fs, self.Fs))
+
+
+def _node_values(g: GridDensity, test_fn) -> np.ndarray:
+    """A test function's values at the nodes of ``g``, all finite.
+
+    ``test_fn`` is a callable, evaluated at ``g.xs``, or an array of node values.
+    """
+    values = np.asarray(test_fn(g.xs) if callable(test_fn) else test_fn, dtype=float)
+    if values.shape != g.xs.shape:
+        raise ValueError("test function must have one value per grid node")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("test function must be finite at all grid nodes")
+    return values
 
 
 def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:

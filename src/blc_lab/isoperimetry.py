@@ -23,7 +23,7 @@ from .certify import (
     _trimmed_range,
     _verdict,
 )
-from .core import GridDensity, SpecError, _write_csv
+from .core import GridDensity, SpecError, _node_values, _write_csv
 
 
 @dataclass(frozen=True)
@@ -162,18 +162,12 @@ def variance_functional(
 ) -> tuple[float, float]:
     """Quadrature estimates of Var(test_fn) and the Dirichlet energy of test_fn.
 
-    ``test_fn`` is either a callable evaluated at the grid nodes or an array
-    of node values; its derivative is taken by central finite differences.
+    ``test_fn`` is a callable evaluated at the grid nodes or an array of node
+    values, finite either way; its derivative is taken by central finite
+    differences.
     Used to validate poincare_constant * variance <= dirichlet.
     """
-    if callable(test_fn):
-        values = np.asarray(test_fn(g.xs), dtype=float)
-    else:
-        values = np.asarray(test_fn, dtype=float)
-        if values.shape != g.xs.shape:
-            raise ValueError("sampled test function must match the grid length")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("test function must be finite at all grid nodes")
+    values = _node_values(g, test_fn)
     w = g.quad_weights * g.fs
     mean = float(np.sum(w * values))
     variance = float(np.sum(w * (values - mean) ** 2))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .certify import (Certificate, CertifyOptions, Status, certify_blc,
                       combined_status)
-from .core import (GridDensity, SpecError, mirror_closed, _mixture_family,
+from .core import (GridDensity, SpecError, mirror_closed, _json_numbers, _mixture_family,
                    _mixture_windows, _read_json, _tabulate, _write_csv)
 from .isoperimetry import IsoProfile, halfspace_profile_1d, weak_blc_ratio_check
 
@@ -77,16 +77,23 @@ class SymmetricMixtureNd:
 
     @staticmethod
     def from_json(source) -> "SymmetricMixtureNd":
+        """Load a measure from a JSON file path, file object, or dict.
+
+        Every entry must be a JSON number, as in one-dimensional specs, and
+        ``dimension`` an integer one.
+        """
         doc = _read_json(source)
         try:
-            d = int(doc["dimension"])
+            d = _json_numbers(doc["dimension"], 0, "dimension")
             comps = doc["components"]
-            w = np.asarray([c["weight"] for c in comps], float)
-            mu = np.asarray([c["mean"] for c in comps], float)
-            cov = np.asarray([c["cov"] for c in comps], float)
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged arrays
+            w = _json_numbers([c["weight"] for c in comps], 1, "weights")
+            mu = _json_numbers([c["mean"] for c in comps], 2, "means")
+            cov = _json_numbers([c["cov"] for c in comps], 3, "covariances")
+        except (KeyError, TypeError) as exc:
             raise SpecError(f"invalid spec: {exc}") from exc
-        return SymmetricMixtureNd(d, w, mu, cov)
+        if d != int(d):
+            raise SpecError("invalid spec: dimension must be an integer")
+        return SymmetricMixtureNd(int(d), w, mu, cov)
 
     def to_json(self) -> str:
         comps = [

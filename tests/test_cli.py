@@ -54,6 +54,9 @@ def specs(tmp_path):
         "gauss_null_mean": {"family": "gaussian", "params": {"mean": None, "sd": 1}},
         "mix_ragged_means": {"family": "gaussian_mixture", "params": {
             "weights": [0.5, 0.5], "means": [[-1, 0], 1], "sds": [1, 1]}},
+        "params_list": {"family": "gaussian", "params": [1, 2]},
+        "params_null": {"family": "gaussian", "params": None},
+        "params_text": {"family": "gaussian", "params": "ab"},
         "gauss2d": {
             "dimension": 2,
             "components": [
@@ -121,7 +124,8 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("name", ["gauss_text_mean", "mix_ragged_means",
                                       "gauss_text_number_mean", "uniform_text_lo",
                                       "mix_text_weight", "logistic_bool_location",
-                                      "gauss_list_mean", "gauss_null_mean"])
+                                      "gauss_list_mean", "gauss_null_mean",
+                                      "params_list", "params_null", "params_text"])
     def test_non_numeric_parameter_is_a_spec_error(self, specs, tmp_path, capsys, name):
         code = main(["certify", "--spec", specs[name], "-o", str(tmp_path / "o")])
         assert code == 3
@@ -132,9 +136,13 @@ class TestCertifyCommand:
                      "-o", str(tmp_path)])
         assert code == 3
 
-    def test_usage_error_exit_three(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["certify"],  # --spec is required
+        ["smooth", "--spec", "mix134.json", "--tol", "1e-6"],  # smooth has no --tol
+    ], ids=" ".join)
+    def test_usage_error_exit_three(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["certify"])  # --spec is required
+            main(argv)
         assert exc.value.code == 3
 
     @pytest.mark.parametrize("argv", [
@@ -153,6 +161,7 @@ class TestCertifyCommand:
         ["iso", "--spec", "mix134", "--pgrid", "0:1:abc"],
         ["iso", "--spec", "mix134", "--pgrid", "0.01:0.99:2.5"],
         ["iso", "--spec", "mix134", "--pgrid", "0.01:0.99"],
+        ["iso", "--spec", "mix134", "--pgrid", "0:1:5"],
         ["iso", "--spec", "mix134", "--rgrid", "0.5:6:x"],
         ["iso", "--spec", "mix134", "--rgrid", "0.5:inf:5"],
         ["iso", "--spec", "mix30", "--rgrid", "nan:6:5"],

@@ -23,11 +23,9 @@ from blc_lab import (
     integration_by_parts_check,
     materialize,
     smooth_sequence,
-    upper_tail_at,
-    weighted_measure,
 )
 from blc_lab.convolution import CONV_CERTIFY_TOL, _eval_outer, _node_sums, _roles, _spacing
-from blc_lab.core import MASS_TOL, cumulative_parabolic, quadrature_weights
+from blc_lab.core import MASS_TOL, cumulative_parabolic
 
 from conftest import (
     GAUSSIAN,
@@ -105,7 +103,8 @@ class TestConvolve:
         # convolved density must reproduce the same CDF
         gZ = convolve(mix134, laplace)
         probes = gZ.quantile(np.linspace(0.02, 0.98, 50))
-        upper = upper_tail_at(mix134, laplace, probes)
+        upper = _eval_outer(lambda u: 1.0 - mix134.cdf_fn(u), probes, laplace.xs,
+                            laplace.quad_weights * laplace.fs)
         assert np.abs((1.0 - gZ.cdf(probes)) - upper).max() <= 1e-5
         rebuilt = cumulative_parabolic(gZ.xs, gZ.fs)
         assert np.abs(rebuilt - gZ.Fs).max() <= 1e-5
@@ -233,36 +232,6 @@ def test_convolution_commutes(sx, sy, n):
         assert np.array_equal(getattr(ab, attr), getattr(ba, attr)), attr
 
 
-class TestWeightedMeasure:
-    def test_gaussian_center_normalizer(self, gauss):
-        wm = weighted_measure(gauss, gauss, 0.0, "lower")
-        assert wm.normalizer == pytest.approx(0.5, abs=1e-5)
-        assert wm.expectation(np.ones_like(wm.ys)) == pytest.approx(1.0, abs=1e-5)
-
-    def test_far_right_anchor_recovers_f_Y(self, gauss):
-        wm = weighted_measure(gauss, gauss, 8.0, "lower")
-        assert np.abs(wm.weights - gauss.fs).max() <= 1e-6
-
-    def test_mirror_symmetry_of_kinds(self):
-        g = grid_of(MIX_134, n=2049)  # odd count gives an exactly symmetric grid
-        lower = weighted_measure(g, g, 0.0, "lower")
-        upper = weighted_measure(g, g, 0.0, "upper")
-        assert np.abs(lower.weights - upper.weights[::-1]).max() <= 1e-12
-
-    def test_expectation_uses_cached_weights_of_Y(self, mix134, laplace):
-        wm = weighted_measure(mix134, laplace, 0.4, "upper")
-        assert wm.quad_weights is laplace.quad_weights
-        values = np.sin(wm.ys)
-        want = float(np.sum(quadrature_weights(wm.ys) * wm.weights * values))
-        assert wm.expectation(values) == want
-
-    def test_normalizer_matches_convolution_cdf(self, mix134, gauss):
-        gZ = convolve(mix134, gauss)
-        for x in (-1.0, 0.3, 2.0):
-            wm = weighted_measure(mix134, gauss, x, "lower")
-            assert wm.normalizer == pytest.approx(gZ.cdf(x), abs=1e-5)
-
-
 class TestCovarianceCriterion:
     def test_flagship_self_convolution_stable(self, mix134):
         report = covariance_criterion(mix134, mix134)
@@ -308,19 +277,25 @@ class TestCovarianceCriterion:
                    - min(coarse.min_lower, coarse.min_upper)) <= 5e-3
 
     def test_covariances_match_weighted_measures(self, mix134, laplace):
-        # each anchor's covariances, taken under the tilted measures of
-        # weighted_measure one anchor at a time
+        # each anchor's covariances, taken one anchor at a time under the
+        # tilted measures m_x and mbar_x, whose masses are F_Z(x) and 1 - F_Z(x)
         xs = np.linspace(-3.0, 3.0, 7)
         report = covariance_criterion(mix134, laplace, xs=xs)
         assert np.array_equal(report.xs, xs)
+        gZ = convolve(mix134, laplace)
+        wq = laplace.quad_weights
         a = -laplace.node_derivatives() / laplace.fs
         for x, cl, cu in zip(xs, report.cov_lower, report.cov_upper):
             Fx = mix134.cdf_fn(x - laplace.xs)
             fx = mix134.pdf_fn(x - laplace.xs)
-            for kind, cov, tilt, sign in (("lower", cl, Fx, 1.0), ("upper", cu, 1.0 - Fx, -1.0)):
-                wm = weighted_measure(mix134, laplace, x, kind)
+            FZ = gZ.cdf(x)
+            for cov, tilt, sign, mass in ((cl, Fx, 1.0, FZ), (cu, 1.0 - Fx, -1.0, 1.0 - FZ)):
+                raw = laplace.fs * tilt
+                normalizer = float(np.sum(wq * raw))
+                assert normalizer == pytest.approx(mass, abs=1e-5)
+                w = wq * raw / normalizer
                 b = np.where(tilt > 0, sign * fx / np.where(tilt > 0, tilt, 1.0), 0.0)
-                want = wm.expectation(a * b) - wm.expectation(a) * wm.expectation(b)
+                want = np.sum(w * a * b) - np.sum(w * a) * np.sum(w * b)
                 assert cov == pytest.approx(want, abs=1e-12)
 
     def test_out_of_range_anchors_skipped(self, gauss):
@@ -478,6 +453,15 @@ class TestIntegrationByParts:
     def test_interior_zero_rejection(self, two_bump):
         with pytest.raises(ValueError, match="degenerate"):
             integration_by_parts_check(two_bump, lambda x: x)
+
+    def test_non_finite_test_function_rejected(self, gauss):
+        values = np.asarray(gauss.xs).copy()
+        values[len(values) // 2] = math.nan
+        for test_g in (values, lambda x: np.where(x > 0.0, math.inf, x)):
+            with pytest.raises(ValueError, match="finite"):
+                integration_by_parts_check(gauss, test_g)
+        with pytest.raises(ValueError, match="one value per grid node"):
+            integration_by_parts_check(gauss, values[1:])
 
 
 class TestSmoothSequence:

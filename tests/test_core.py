@@ -114,6 +114,11 @@ class TestMaterialize:
         with pytest.raises(SpecError, match="family"):
             DistributionSpec.from_json({"params": {}})
 
+    @pytest.mark.parametrize("params", [[1, 2], None, "ab"], ids=repr)
+    def test_params_must_be_a_json_object(self, params):
+        with pytest.raises(SpecError, match="must be numbers in a JSON object"):
+            DistributionSpec.from_json({"family": "gaussian", "params": params})
+
     def test_mass_invariants(self):
         for spec in (GAUSSIAN, LOGISTIC, LAPLACE, MIX_134):
             g = grid_of(spec)
@@ -229,40 +234,37 @@ class TestCdfReconstruction:
 
 class TestDensityDerivative:
     def test_symmetric_peaks(self, gauss, logistic):
-        assert abs(gauss.density_derivative(0.0)) <= 1e-6
-        assert abs(logistic.density_derivative(0.0)) <= 1e-6
+        # the center is a node of both grids
+        for g in (gauss, logistic):
+            assert abs(g.node_derivatives()[g.xs == 0.0]).item() <= 1e-6
 
     def test_gaussian_analytic_value(self, gauss):
-        phi1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
-        assert gauss.density_derivative(1.0) == pytest.approx(-phi1, abs=1e-8)
+        phi = np.exp(-0.5 * gauss.xs**2) / math.sqrt(2 * math.pi)
+        assert np.abs(gauss.node_derivatives() + gauss.xs * phi).max() <= 1e-8
 
     @staticmethod
     def tabulated_pair(spec):
-        """An analytic grid, its tabulated copy, and nodes inside both J(F)."""
+        """An analytic grid, its tabulated copy, and the nodes inside both J(F)."""
         g = grid_of(spec, n=4096)
         tab = materialize(DistributionSpec.grid(g.xs, g.fs))
         assert g.dpdf_fn is not None and tab.dpdf_fn is None
-        return g, tab, g.xs[max(g.j_lo, tab.j_lo) + 1:min(g.j_hi, tab.j_hi)]
+        return g, tab, slice(max(g.j_lo, tab.j_lo) + 1, min(g.j_hi, tab.j_hi))
 
     def test_fd_matches_analytic(self):
         # the tabulated copy has no dpdf_fn, so it takes the finite differences
         for spec in (GAUSSIAN, LOGISTIC, MIX_134):
-            g, tab, xs = self.tabulated_pair(spec)
-            fd = tab.density_derivative(xs)
-            exact = g.density_derivative(xs)
+            g, tab, inner = self.tabulated_pair(spec)
+            fd = tab.node_derivatives()[inner]
+            exact = g.node_derivatives()[inner]
             assert np.abs(fd - exact).max() <= 1e-4
 
     def test_fd_matches_analytic_laplace_away_from_kink(self):
-        g, tab, xs = self.tabulated_pair(LAPLACE)
+        g, tab, inner = self.tabulated_pair(LAPLACE)
         h = float(np.diff(g.xs).max())
-        keep = np.abs(xs) > 1.5 * h  # second difference smears the kink cell
-        fd = tab.density_derivative(xs[keep])
-        exact = g.density_derivative(xs[keep])
+        keep = np.abs(g.xs[inner]) > 1.5 * h  # second difference smears the kink cell
+        fd = tab.node_derivatives()[inner][keep]
+        exact = g.node_derivatives()[inner][keep]
         assert np.abs(fd - exact).max() <= 1e-4
-
-    def test_outside_J_rejected(self, gauss):
-        with pytest.raises(DomainError, match="outside J"):
-            gauss.density_derivative(gauss.xs[-1] + 1.0)
 
 
 class TestExports:
@@ -367,6 +369,13 @@ class TestMixtureQuantile:
         with pytest.raises(RuntimeError, match="no convergence"):
             _mixture_quantile(np.array([0.3]), [0.5, 0.5], np.array([[-1.0, 1.0]]),
                               np.array([[1.0, 1.0]]))
+
+
+def test_public_names_resolve():
+    assert all(hasattr(blc_lab, name) for name in blc_lab.__all__)
+    for name in ("weighted_measure", "WeightedMeasure", "upper_tail_at"):
+        assert not hasattr(blc_lab, name) and name not in blc_lab.__all__
+    assert not hasattr(GridDensity, "density_derivative")
 
 
 def test_import_leaves_scipy_optimize_out():

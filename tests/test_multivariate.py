@@ -106,6 +106,24 @@ class TestConstruction:
         with pytest.raises(SpecError, match="invalid spec"):
             SymmetricMixtureNd.from_json({"dimension": 2})
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("weight", "1.0", "weights must be numbers"),
+        ("weight", True, "weights must be numbers"),
+        ("mean", ["0", 0], "means must be numbers"),
+        ("cov", [[1, 0], [0, None]], "covariances must be numbers"),
+        ("dimension", 2.5, "dimension must be an integer"),
+        ("dimension", "2", "dimension must be numbers"),
+        ("dimension", True, "dimension must be numbers"),
+    ], ids=["text-weight", "bool-weight", "text-mean", "null-cov", "fractional-dimension",
+            "text-dimension", "bool-dimension"])
+    def test_json_entries_must_be_numbers(self, key, value, message):
+        # JSON numbers only, as in one-dimensional specs: nothing is converted
+        comp = {"weight": 1.0, "mean": [0, 0], "cov": [[1, 0], [0, 1]]}
+        doc = {"dimension": 2, "components": [comp]}
+        (doc if key == "dimension" else comp)[key] = value
+        with pytest.raises(SpecError, match=message):
+            SymmetricMixtureNd.from_json(doc)
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_one_mean_row_per_weight(self, rows):
         with pytest.raises(SpecError, match="one row per weight"):
