@@ -16,7 +16,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -131,14 +131,16 @@ def _require(cond: bool, msg: str):
 def _json_numbers(value, ndim: int, what: str) -> np.ndarray:
     """A JSON number (``ndim`` 0) or a rectangular nested list of them, as floats.
 
-    Strings, booleans, nulls and ragged lists are refused, not converted, and
-    so are non-finite values.
+    Strings, booleans (even in a list of numbers), nulls and ragged lists are
+    refused, not converted, and so are non-finite values.
     """
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # a ragged list
         raise SpecError(f"invalid spec: {what} must be numbers") from exc
-    _require(arr.dtype.kind in "iuf" and arr.ndim == ndim, f"{what} must be numbers")
+    _require(arr.dtype.kind in "iuf" and arr.ndim == ndim and not any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat),
+        f"{what} must be numbers")
     arr = arr.astype(float)
     _require(np.isfinite(arr).all(), f"{what} must be finite")
     return arr
@@ -227,32 +229,37 @@ def _laplace_family(loc, scale):
     return _Family(pdf, cdf, dpdf, (ppf(_TAIL), loc, ppf(1.0 - _TAIL)), kink=loc)
 
 
-def _mixture_terms(x, w, mu, sd):
-    """Standardized offsets and weighted component densities of Gaussian mixtures at x."""
-    z = (np.asarray(x, float)[..., None] - mu) / sd
-    return z, w * np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
+# weighted component terms of a mixture's pdf, cdf, dpdf (as in _Family) at z = (x - mu) / sd
+_TERMS = {
+    "pdf": lambda w, z, sd: w * np.exp(-0.5 * z * z) / (sd * _SQRT2PI),
+    "cdf": lambda w, z, sd: w * ndtr(z),
+    "dpdf": lambda w, z, sd: _TERMS["pdf"](w, z, sd) * (-z / sd),
+}
+
+
+def _mixture_sum(terms, w, mu, sd, x):
+    """Sum of ``terms(w, z, sd)`` over the components of Gaussian mixtures at x.
+
+    ``w``, ``mu`` and ``sd`` hold the component axis first, reshaped to
+    (k, 1, ..., 1) if they carry nothing more, so elementwise passes run over
+    x, not over k components.  The sum has x's shape and adds the terms in
+    component order from +0.0, as numpy sums fewer than 8 on a trailing axis.
+    """
+    x = np.asarray(x, float)
+    w, mu, sd = (a.reshape(a.shape + (1,) * (x.ndim + 1 - a.ndim)) for a in (w, mu, sd))
+    values = terms(w, (x - mu) / sd, sd)  # z is freed before the sum is allocated
+    total = np.zeros(values.shape[1:])
+    for term in values:
+        total += term
+    return total[()]
 
 
 def _mixture_family(weights, means, sds, window=None):
     """A Gaussian mixture; its window is solved here unless given."""
-    w = np.asarray(weights, float)
-    mu = np.asarray(means, float)
-    sd = np.asarray(sds, float)
-
-    def pdf(x):
-        return _mixture_terms(x, w, mu, sd)[1].sum(axis=-1)
-
-    def cdf(x):
-        z = (np.asarray(x, float)[..., None] - mu) / sd
-        return (w * ndtr(z)).sum(axis=-1)
-
-    def dpdf(x):
-        z, comp = _mixture_terms(x, w, mu, sd)
-        return (comp * (-z / sd)).sum(axis=-1)
-
+    w, mu, sd = (np.asarray(a, float) for a in (weights, means, sds))
     if window is None:
         window = tuple(float(v[0]) for v in _mixture_windows(w, mu[None], sd[None]))
-    return _Family(pdf, cdf, dpdf, window)
+    return _Family(*(partial(_mixture_sum, _TERMS[f], w, mu, sd) for f in _TERMS), window)
 
 
 def _mixture_windows(w, mu, sd):
@@ -285,23 +292,23 @@ def _mixture_quantile(p, w, mu, sd):
     rest of the stack.  Raises ``RuntimeError`` after ``_MAXITER`` steps.
     """
     p = np.asarray(p, float)
-    P = p.reshape(len(mu), -1)
-    mu, sd = np.asarray(mu, float)[:, None, :], np.asarray(sd, float)[:, None, :]
+    P, w = p.reshape(len(mu), -1), np.asarray(w, float)
+    # component axis first: (k, D, 1) against the (D, m) stack of roots
+    mu, sd = np.asarray(mu, float).T[..., None], np.asarray(sd, float).T[..., None]
     sign, target = np.where(P > 0.5, -1.0, 1.0), np.where(P > 0.5, 1.0 - P, P)
-    comp = mu + sd * ndtri(P)[..., None]
-    lo, hi = comp.min(axis=-1), comp.max(axis=-1)
+    comp = mu + sd * ndtri(P)
+    lo, hi = comp.min(axis=0), comp.max(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # start where the component nearest the root alone holds the tail mass
-        own = mu + sign[..., None] * sd * ndtri(np.minimum(target[..., None] / w, 1.0))
-        x = np.clip(np.where(sign > 0, own.min(axis=-1), own.max(axis=-1)), lo, hi)
+        own = mu + sign * sd * ndtri(np.minimum(target / w[:, None, None], 1.0))
+        x = np.clip(np.where(sign > 0, own.min(axis=0), own.max(axis=0)), lo, hi)
         done = hi - lo <= 2.0 * (_XTOL + _RTOL * np.abs(x))
         for _ in range(_MAXITER):
             if done.all():
                 return x.reshape(p.shape)
-            z, dens = _mixture_terms(x, w, mu, sd)
-            tail = (w * ndtr(sign[..., None] * z)).sum(axis=-1)
+            tail = _mixture_sum(lambda w, z, sd: w * ndtr(sign * z), w, mu, sd, x)
             g = sign * np.log(tail / target)  # has the sign of F(x) - p
-            step = x - g * tail / dens.sum(axis=-1)
+            step = x - g * tail / _mixture_sum(_TERMS["pdf"], w, mu, sd, x)
             lo, hi = np.where(g < 0, x, lo), np.where(g > 0, x, hi)
             step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
             step = np.where(done, x, step)
@@ -658,16 +665,9 @@ def _tabulate(fam: _Family, n_points: int, label: str) -> GridDensity:
     fs = np.asarray(fam.pdf(xs), dtype=float) / Z
     Fs = np.clip((F_raw - F_raw[0]) / Z, 0.0, 1.0)
 
-    def pdf_scaled(x, _pdf=fam.pdf, _Z=Z):
-        return _pdf(x) / _Z
-
-    def cdf_scaled(x, _cdf=fam.cdf, _F0=F_raw[0], _Z=Z):
-        return np.clip((_cdf(x) - _F0) / _Z, 0.0, 1.0)
-
-    def dpdf_scaled(x, _dpdf=fam.dpdf, _Z=Z):
-        return _dpdf(x) / _Z
-
     return GridDensity(
         xs=xs, fs=fs, Fs=Fs, total_mass=1.0, label=label,
-        pdf_fn=pdf_scaled, cdf_fn=cdf_scaled, dpdf_fn=dpdf_scaled, kink_x=fam.kink,
+        pdf_fn=lambda x: fam.pdf(x) / Z,
+        cdf_fn=lambda x: np.clip((fam.cdf(x) - F_raw[0]) / Z, 0.0, 1.0),
+        dpdf_fn=lambda x: fam.dpdf(x) / Z, kink_x=fam.kink,
     )

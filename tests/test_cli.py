@@ -50,6 +50,10 @@ def specs(tmp_path):
         "mix_text_weight": {"family": "gaussian_mixture", "params": {
             "weights": ["0.5", 0.5], "means": [-1, 1], "sds": [1, 1]}},
         "logistic_bool_location": {"family": "logistic", "params": {"location": True, "scale": 1}},
+        "mix_bool_weight": {"family": "gaussian_mixture", "params": {
+            "weights": [True, 0.0], "means": [-1, 1], "sds": [1, 1]}},
+        "mix_bool_int_weight": {"family": "gaussian_mixture", "params": {
+            "weights": [True, 0], "means": [-1, 1], "sds": [1, 1]}},
         "gauss_list_mean": {"family": "gaussian", "params": {"mean": [0.0], "sd": 1}},
         "gauss_null_mean": {"family": "gaussian", "params": {"mean": None, "sd": 1}},
         "mix_ragged_means": {"family": "gaussian_mixture", "params": {
@@ -124,6 +128,7 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("name", ["gauss_text_mean", "mix_ragged_means",
                                       "gauss_text_number_mean", "uniform_text_lo",
                                       "mix_text_weight", "logistic_bool_location",
+                                      "mix_bool_weight", "mix_bool_int_weight",
                                       "gauss_list_mean", "gauss_null_mean",
                                       "params_list", "params_null", "params_text"])
     def test_non_numeric_parameter_is_a_spec_error(self, specs, tmp_path, capsys, name):

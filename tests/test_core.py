@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import ndtr
 
 import blc_lab
 from blc_lab import (
@@ -369,6 +371,34 @@ class TestMixtureQuantile:
         with pytest.raises(RuntimeError, match="no convergence"):
             _mixture_quantile(np.array([0.3]), [0.5, 0.5], np.array([[-1.0, 1.0]]),
                               np.array([[1.0, 1.0]]))
+
+
+@st.composite
+def _mixtures_and_points(draw):
+    k = draw(st.integers(1, 12))
+    w, mu, sd = (np.array(draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k)))
+                 for lo, hi in ((0.0, 1.0), (-5.0, 5.0), (0.05, 5.0)))
+    shape = draw(st.sampled_from([(), (1,), (7,), (2, 5)]))
+    return w, mu, sd, draw(arrays(np.float64, shape, elements=st.floats(-40.0, 40.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mixtures_and_points())
+def test_mixture_kernel_sums_components_in_order(case):
+    # pdf, cdf and f' of a mixture equal the plain per-component sum taken
+    # left to right from +0.0, bit for bit, for every component count
+    w, mu, sd, x = case
+    fam = core._mixture_family(w, mu, sd, window=(-1.0, 0.0, 1.0))  # window unused
+    want = [0.0, 0.0, 0.0]
+    for wi, mi, si in zip(w, mu, sd):
+        z = (x - mi) / si
+        dens = wi * np.exp(-0.5 * z * z) / (si * math.sqrt(2.0 * math.pi))
+        for i, term in enumerate((dens, wi * ndtr(z), dens * (-z / si))):
+            want[i] = want[i] + term
+    for fn, ref in zip((fam.pdf, fam.cdf, fam.dpdf), want):
+        got = fn(x)
+        assert np.shape(got) == x.shape
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_public_names_resolve():

@@ -59,6 +59,18 @@ def mix2d_30():
     return axis_mixture_2d(3.0)
 
 
+@pytest.fixture(scope="module")
+def mix2d_8():
+    # eight components, four mirror pairs: sums over components are no
+    # longer shorter than numpy's pairwise-summation block
+    angles = np.array([0.3, 1.1, 1.9, 2.6])
+    half = 0.8 * np.column_stack([np.cos(angles), np.sin(angles)])
+    covs = [np.array([[1.0 + 0.2 * i, 0.1 * i], [0.1 * i, 0.7 + 0.1 * i]]) for i in range(4)]
+    return SymmetricMixtureNd(2, np.repeat([0.1, 0.15, 0.05, 0.2], 2),
+                              np.stack([half, -half], axis=1).reshape(8, 2),
+                              np.repeat(covs, 2, axis=0))
+
+
 class TestConstruction:
     def test_mirror_closure_enforced(self):
         with pytest.raises(SpecError, match="closed under"):
@@ -110,16 +122,21 @@ class TestConstruction:
         ("weight", "1.0", "weights must be numbers"),
         ("weight", True, "weights must be numbers"),
         ("mean", ["0", 0], "means must be numbers"),
+        ("mean", [True, 0.0], "means must be numbers"),
         ("cov", [[1, 0], [0, None]], "covariances must be numbers"),
+        ("cov", [[1, 0], [0, True]], "covariances must be numbers"),
         ("dimension", 2.5, "dimension must be an integer"),
         ("dimension", "2", "dimension must be numbers"),
         ("dimension", True, "dimension must be numbers"),
-    ], ids=["text-weight", "bool-weight", "text-mean", "null-cov", "fractional-dimension",
-            "text-dimension", "bool-dimension"])
+    ], ids=["text-weight", "bool-weight", "text-mean", "bool-in-mean", "null-cov",
+            "bool-in-cov", "fractional-dimension", "text-dimension", "bool-dimension"])
     def test_json_entries_must_be_numbers(self, key, value, message):
-        # JSON numbers only, as in one-dimensional specs: nothing is converted
-        comp = {"weight": 1.0, "mean": [0, 0], "cov": [[1, 0], [0, 1]]}
-        doc = {"dimension": 2, "components": [comp]}
+        # JSON numbers only, as in one-dimensional specs: nothing is converted,
+        # not even a boolean inside a list of numbers, which numpy would take
+        # for 1.0; the mirror makes the converted doc a valid measure
+        comp = {"weight": 0.5, "mean": [1, 0], "cov": [[1, 0], [0, 1]]}
+        mirror = {"weight": 0.5, "mean": [-1.0, 0.0], "cov": [[1, 0], [0, 1]]}
+        doc = {"dimension": 2, "components": [comp, mirror]}
         (doc if key == "dimension" else comp)[key] = value
         with pytest.raises(SpecError, match=message):
             SymmetricMixtureNd.from_json(doc)
@@ -208,7 +225,7 @@ class TestWeakStarScan:
         with pytest.raises(ValueError, match="at least"):
             weak_star_check(gauss2d, 3)
 
-    @pytest.mark.parametrize("name", ["gauss2d", "mix2d_134", "mix2d_30", "gauss3d"])
+    @pytest.mark.parametrize("name", ["gauss2d", "mix2d_134", "mix2d_30", "mix2d_8", "gauss3d"])
     def test_scan_is_per_direction_certification(self, name, request):
         m = request.getfixturevalue(name)
         scan = weak_star_check(m, 16)
@@ -238,7 +255,7 @@ class TestWeakStarScan:
 
 
 class TestHalfspaceProfileNd:
-    @pytest.mark.parametrize("name", ["gauss2d", "mix2d_134", "mix2d_30", "gauss3d"])
+    @pytest.mark.parametrize("name", ["gauss2d", "mix2d_134", "mix2d_30", "mix2d_8", "gauss3d"])
     def test_infimum_of_projected_profiles(self, name, request):
         m = request.getfixturevalue(name)
         per_direction = [halfspace_profile_1d(project_to_line(m, u), PS).values
