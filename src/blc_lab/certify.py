@@ -12,7 +12,10 @@ Two cross-checks test the same property another way: hazard monotonicity
 the CDF envelope -- exponential upper/lower envelopes of F around anchor
 points, probed on a finite offset grid (:func:`check_envelope`).  Plain
 log-concavity of the density itself is certified from second differences
-of log f by :func:`check_log_concave`.  Every check reports a signed,
+of log f by :func:`check_log_concave`.  All of them read the nodes of the
+grid's J(F), ``GridDensity.j_range`` (CDF within ``BOUNDARY_TRIM *
+MASS_TOL`` of neither 0 nor 1), and envelope anchors must lie in it.
+Every check reports a signed,
 scale-free worst-case slack; :func:`_verdict` turns margins into a
 verdict, Certified only when the worst one clears ``-tolerance`` (so a NaN
 margin fails).
@@ -27,9 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import MASS_TOL, DegenerateDensityError, DomainError, GridDensity, SpecError
-
-BOUNDARY_TRIM = 10.0  # multiples of MASS_TOL excluded next to F=0 and F=1
+from .core import MASS_TOL, DomainError, GridDensity, SpecError
 
 
 class Status(str, enum.Enum):
@@ -110,24 +111,15 @@ class CertifyOptions:
             raise SpecError("tolerance must be finite and >= 0")
 
 
-def _trimmed_range(g: GridDensity) -> slice:
-    """Node range where F is at least BOUNDARY_TRIM*MASS_TOL away from 0 and 1."""
-    lo = BOUNDARY_TRIM * MASS_TOL
-    inside = np.nonzero((g.Fs >= lo) & (g.Fs <= 1.0 - lo))[0]
-    if len(inside) == 0:
-        raise DegenerateDensityError("degenerate density: no nodes clear of the CDF boundary")
-    return slice(int(inside[0]), int(inside[-1]) + 1)
-
-
 def check_hazards(g: GridDensity, opts: CertifyOptions = CertifyOptions()) -> Certificate:
     """Monotonicity of the hazard f/(1-F) and reverse hazard f/F.
 
     A cross-check of :func:`certify_blc`, which tests the same property.
-    Both rates are evaluated at grid nodes inside the trimmed J(F) range and
+    Both rates are evaluated at the grid nodes of J(F) (``g.j_range``) and
     compared on consecutive node pairs; each step margin is normalized by the
     larger of the two rate values, which makes the slack affine-invariant.
     """
-    sl = _trimmed_range(g)
+    sl = g.j_range
     xs, fs, Fs = g.xs[sl], g.fs[sl], g.Fs[sl]
     steps = np.minimum(_normalized_steps(fs / (1.0 - Fs)), -_normalized_steps(fs / Fs))
     return _verdict("hazard_monotonicity", steps, 0.5 * (xs[:-1] + xs[1:]), opts.tolerance)
@@ -135,7 +127,7 @@ def check_hazards(g: GridDensity, opts: CertifyOptions = CertifyOptions()) -> Ce
 
 def check_derivative_sandwich(g: GridDensity,
                               opts: CertifyOptions = CertifyOptions()) -> Certificate:
-    """Two-sided bound -f^2/(1-F) <= f' <= f^2/F on the trimmed J(F) nodes.
+    """Two-sided bound -f^2/(1-F) <= f' <= f^2/F on the J(F) nodes (``g.j_range``).
 
     Its two margins, 1 - f'F/f^2 and 1 + f'(1-F)/f^2, are the derivatives of
     F/f and -(1-F)/f, so each is taken as the forward difference of that
@@ -145,7 +137,7 @@ def check_derivative_sandwich(g: GridDensity,
     density at most MASS_TOL times the maximum breaks strict positivity and
     forces a violation outright.
     """
-    sl = _trimmed_range(g)
+    sl = g.j_range
     xs, fs, Fs = g.xs[sl], g.fs[sl], g.Fs[sl]
     dead = fs <= MASS_TOL * g.fs.max()
     if np.any(dead):
@@ -174,13 +166,13 @@ def check_envelope(g: GridDensity, anchors: Sequence[float],
     across the probe grid.
     """
     anchors = np.atleast_1d(np.asarray(anchors, dtype=float))
-    for x in anchors:
-        if not g.in_J(x):
-            raise DomainError("outside J(F): envelope anchors must lie in J(F)")
+    first, last = g.xs[g.j_range][[0, -1]]
+    if not np.all((first <= anchors) & (anchors <= last)):
+        raise DomainError("outside J(F): envelope anchors must lie in J(F)")
     s = g.std()
     ts = np.linspace(-3.0 * s, 3.0 * s, 21)
     floor = np.finfo(float).tiny
-    ai = np.clip(np.searchsorted(g.xs, anchors), g.j_lo, g.j_hi)
+    ai = np.searchsorted(g.xs, anchors)
     xa = g.xs[ai]
     ti = np.clip(np.searchsorted(g.xs, xa[:, None] + ts[None, :]), 0, len(g.xs) - 1)
     t_eff = g.xs[ti] - xa[:, None]
@@ -204,8 +196,7 @@ def check_log_concave(g: GridDensity,
     (log f)''; nonpositive density nodes make the question ill-posed and the
     verdict Inconclusive.
     """
-    sl = _trimmed_range(g)
-    xs, fs = g.xs[sl], g.fs[sl]
+    xs, fs = g.xs[g.j_range], g.fs[g.j_range]
     bad = fs <= 0.0
     if np.any(bad):
         witness = float(xs[int(np.argmax(bad))])

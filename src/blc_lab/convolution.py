@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .certify import (Certificate, CertifyOptions, Status, _require_blc, _verdict,
                       certify_blc)
@@ -51,8 +50,8 @@ from .core import (
     GridDensity,
     SpecError,
     materialize,
-    _is_uniform,
     _node_values,
+    _spacing,
     _write_csv,
 )
 
@@ -71,11 +70,6 @@ def _eval_outer(fn, xs_out: np.ndarray, ys: np.ndarray, wf: np.ndarray) -> np.nd
     return out
 
 
-def _spacing(g: GridDensity) -> Optional[float]:
-    """Node spacing of a uniform grid; None for a non-uniform one."""
-    return float(g.xs[-1] - g.xs[0]) / (len(g) - 1) if _is_uniform(g.xs) else None
-
-
 def _roles(gX: GridDensity, gY: GridDensity) -> tuple[GridDensity, GridDensity]:
     """Order the factors as (X, Y), Y being the one whose grid carries the sum.
 
@@ -90,7 +84,7 @@ def _roles(gX: GridDensity, gY: GridDensity) -> tuple[GridDensity, GridDensity]:
     """
     def key(g):  # the factor with the smaller key becomes Y
         exact = g.pdf_fn is not None
-        spacing = _spacing(g) or math.inf
+        spacing = _spacing(g.xs) or math.inf
         return (g.uniform_bounds is None, exact, g.kink_x is None,
                 spacing if exact else -spacing, float(g.xs[0]),
                 g.xs.tobytes(), g.fs.tobytes())
@@ -107,14 +101,14 @@ def _lattice_sums(fns, start: float, u_ref: float, gY: GridDensity,
     points and the sums are a correlation with wf = quad_weights * f_Y, done
     by one real FFT.  The lattice is laid out from ``u_ref``, one of its
     points, which is then hit exactly (X's kink, which thus meets Y's grid on
-    a node).  The transform length is at least the lattice length, so
-    nothing wraps around into the entries read back.
+    a node).  The transform length is the least power of two not below the
+    lattice length, so nothing wraps around into the entries read back.
     """
-    n_y, h = len(gY), _spacing(gY)
+    n_y, h = len(gY), _spacing(gY.xs)
     size = m * (n_out - 1) + n_y
     i_ref = round((u_ref - start + gY.xs[0]) / h) + n_y - 1
     u = u_ref + h * (np.arange(size) - i_ref)
-    n_fft = next_fast_len(size, real=True)
+    n_fft = 1 << (size - 1).bit_length()
     wf_hat = np.fft.rfft(gY.quad_weights * gY.fs, n_fft)
     vals = np.stack([np.asarray(fn(u), dtype=float) for fn in fns])
     full = np.fft.irfft(np.fft.rfft(vals, n_fft, axis=-1) * wf_hat, n_fft, axis=-1)
@@ -161,7 +155,7 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     box = gY.uniform_bounds is not None
     lo = gX.xs[0] + gY.xs[0]
     span = (gX.xs[-1] - gX.xs[0]) + (gY.xs[-1] - gY.xs[0])
-    h = _spacing(gY)
+    h = _spacing(gY.xs)
     # the lattice must allow n nodes; past a quarter of the n * n_Y points of
     # the direct sums (a very fine Y) it is measured to be no faster
     lattice = h is not None and (n - 1) * h <= span < n * len(gY) * h / 4

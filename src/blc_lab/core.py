@@ -5,7 +5,9 @@ logistic, Laplace, Gaussian mixture, uniform) or as a tabulated density on
 an arbitrary strictly increasing grid.  Either way it is materialized into a
 :class:`GridDensity`: density and CDF values on a common abscissa grid, with
 monotone piecewise-linear interpolation for CDF evaluation and quantile
-inversion.  Analytic families keep their closed-form pdf and CDF attached,
+inversion.  The grid derives its J(F) once, when it is built: the nodes
+whose CDF clears a boundary trim of ``BOUNDARY_TRIM * MASS_TOL``, on which
+every shape check runs.  Analytic families keep their closed-form pdf and CDF attached,
 so that convolution sums evaluate a factor exactly off its nodes.  The
 density derivative is read at the nodes only: in closed form for an
 analytic family, else from finite differences.
@@ -23,6 +25,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 MASS_TOL = 1e-6
+BOUNDARY_TRIM = 10.0  # multiples of MASS_TOL excluded next to F=0 and F=1
 DEFAULT_COVERAGE = 1.0 - 1e-9
 _TAIL = 0.5 * (1.0 - DEFAULT_COVERAGE)  # mass left out on each side of a window
 _XTOL, _RTOL = 1e-13, 8.9e-16  # absolute and relative tolerance of a mixture quantile
@@ -398,9 +401,12 @@ def _trapezoid_weights(xs: np.ndarray) -> np.ndarray:
     return w
 
 
-def _is_uniform(xs: np.ndarray) -> bool:
+def _spacing(xs: np.ndarray) -> Optional[float]:
+    """Mean node step of a uniform grid (at least 3 nodes); None for any other grid."""
     h = np.diff(xs)
-    return len(xs) >= 3 and (h.max() - h.min()) <= 1e-9 * h.mean()
+    if len(xs) >= 3 and (h.max() - h.min()) <= 1e-9 * h.mean():
+        return float(h.mean())
+    return None
 
 
 def _parabolic_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -427,14 +433,14 @@ def quadrature_weights(xs: np.ndarray) -> np.ndarray:
     grids.
     """
     xs = np.asarray(xs, float)
-    if not _is_uniform(xs):
+    h = _spacing(xs)
+    if h is None:
         return _trapezoid_weights(xs)
     n = len(xs)
-    hh = float(np.diff(xs).mean())
     base, coef = _parabolic_cells(n)
     # bincount adds the cell contributions in cell order, node by node
     return np.bincount((base[:, None] + np.arange(3)).ravel(),
-                       weights=(coef * hh / 12.0).ravel(), minlength=n)
+                       weights=(coef * h / 12.0).ravel(), minlength=n)
 
 
 def _cumulative_trapezoid(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
@@ -452,13 +458,14 @@ def cumulative_parabolic(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """
     xs = np.asarray(xs, float)
     fs = np.asarray(fs, float)
-    if not _is_uniform(xs):
+    h = _spacing(xs)
+    if h is None:
         return _cumulative_trapezoid(xs, fs)
     n = len(xs)
     base, coef = _parabolic_cells(n)
     cell = coef[:, 0] * fs[base] + coef[:, 1] * fs[base + 1] + coef[:, 2] * fs[base + 2]
     out = np.zeros(n)
-    out[1:] = np.cumsum(np.diff(xs).mean() * cell / 12.0)
+    out[1:] = np.cumsum(h * cell / 12.0)
     return out
 
 
@@ -472,17 +479,17 @@ class GridDensity:
     """Tabulated density/CDF pair with interpolation-based evaluation.
 
     ``xs`` is strictly increasing; ``fs`` holds density values and ``Fs`` CDF
-    values at the nodes.  ``j_lo``/``j_hi`` are derived from ``Fs``: they
-    bracket the nodes where the CDF is inside (MASS_TOL, 1 - MASS_TOL), and
-    all shape checks are restricted to that range.  ``total_mass`` defaults
-    to the :meth:`quadrature_mass` of the tabulated density.
+    values at the nodes.  ``j_range`` is derived from ``Fs``: it is the grid's
+    J(F), the slice of nodes whose CDF clears the boundary trim, lying in
+    [BOUNDARY_TRIM * MASS_TOL, 1 - BOUNDARY_TRIM * MASS_TOL]; every shape
+    check reads that range, and an empty one is refused here.  ``total_mass``
+    defaults to the :meth:`quadrature_mass` of the tabulated density.
     """
 
     xs: np.ndarray
     fs: np.ndarray
     Fs: np.ndarray
-    j_lo: int = field(init=False)
-    j_hi: int = field(init=False)
+    j_range: slice = field(init=False)
     total_mass: Optional[float] = None
     label: str = "grid"
     pdf_fn: Optional[Callable] = field(default=None, repr=False)
@@ -502,11 +509,11 @@ class GridDensity:
             raise SpecError("invalid spec: density values must be >= 0")
         if np.any(np.diff(Fs) < -1e-12):
             raise SpecError("invalid spec: CDF values must be nondecreasing")
-        inside = np.nonzero((Fs > MASS_TOL) & (Fs < 1.0 - MASS_TOL))[0]
+        trim = BOUNDARY_TRIM * MASS_TOL
+        inside = np.nonzero((Fs >= trim) & (Fs <= 1.0 - trim))[0]
         if len(inside) == 0:
             raise DegenerateDensityError("degenerate density: J(F) empty")
-        object.__setattr__(self, "j_lo", int(inside[0]))
-        object.__setattr__(self, "j_hi", int(inside[-1]))
+        object.__setattr__(self, "j_range", slice(int(inside[0]), int(inside[-1]) + 1))
         if self.total_mass is None:
             object.__setattr__(self, "total_mass", self.quadrature_mass())
         if abs(self.total_mass - 1.0) > MASS_TOL:
@@ -552,9 +559,6 @@ class GridDensity:
 
     def median(self) -> float:
         return float(self.quantile(0.5))
-
-    def in_J(self, x) -> bool:
-        return self.xs[self.j_lo] <= x <= self.xs[self.j_hi]
 
     def functions(self) -> tuple[Callable, Callable]:
         """pdf and cdf: exact when the family has them, else interpolated at the nodes."""

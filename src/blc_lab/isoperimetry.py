@@ -20,7 +20,6 @@ from .certify import (
     CertifyOptions,
     _normalized_steps,
     _require_blc,
-    _trimmed_range,
     _verdict,
 )
 from .core import GridDensity, SpecError, _node_values, _write_csv
@@ -85,9 +84,8 @@ class ConcentrationReport:
 
 
 def bobkov_houdre_constant(g: GridDensity) -> float:
-    """Essential infimum of f / min(F, 1-F) over the trimmed J(F) nodes."""
-    sl = _trimmed_range(g)
-    fs, Fs = g.fs[sl], g.Fs[sl]
+    """Essential infimum of f / min(F, 1-F) over the J(F) nodes (``g.j_range``)."""
+    fs, Fs = g.fs[g.j_range], g.Fs[g.j_range]
     return float(np.min(fs / np.minimum(Fs, 1.0 - Fs)))
 
 

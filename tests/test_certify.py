@@ -1,4 +1,6 @@
 """Certification checks: agreement of the three conditions, refutations, invariance."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from blc_lab import (
+    MASS_TOL,
     Certificate,
     DistributionSpec,
     DomainError,
@@ -17,7 +20,7 @@ from blc_lab import (
     check_log_concave,
     materialize,
 )
-from blc_lab.certify import _trimmed_range, combined_status
+from blc_lab.certify import combined_status
 
 from conftest import (
     AGREEMENT_CORPUS,
@@ -29,6 +32,7 @@ from conftest import (
     UNIFORM01,
     grid_of,
     mixture_spec,
+    tabulated_spec,
     two_bump_spec,
 )
 
@@ -68,9 +72,8 @@ class TestHazards:
 class TestDerivativeSandwich:
     def test_logistic_certified_and_identity(self, logistic):
         # for the standard logistic, f' = F(1-F)(1-2F) sits inside the sandwich
-        inside = slice(logistic.j_lo, logistic.j_hi + 1)
-        F = logistic.Fs[inside]
-        fp = logistic.node_derivatives()[inside]
+        F = logistic.Fs[logistic.j_range]
+        fp = logistic.node_derivatives()[logistic.j_range]
         # tail renormalization shifts F by the truncated mass (~5e-10)
         assert np.abs(fp - F * (1 - F) * (1 - 2 * F)).max() <= 1e-8
         cert = check_derivative_sandwich(logistic)
@@ -109,9 +112,12 @@ class TestEnvelope:
         cert = check_envelope(mix30, deciles(mix30))
         assert cert.status is Status.VIOLATED
 
-    def test_anchor_outside_J_rejected(self, gauss):
+    def test_anchor_outside_J_rejected(self, gauss, logistic):
         with pytest.raises(DomainError, match="outside J"):
             check_envelope(gauss, [gauss.xs[-1] + 5.0])
+        # F = 3e-6 lies inside (0, 1) but not clear of the boundary trim
+        with pytest.raises(DomainError, match="outside J"):
+            check_envelope(logistic, [math.log(3e-6 / (1.0 - 3e-6))])
 
 
 class TestLogConcavity:
@@ -175,7 +181,7 @@ class TestCertifyBlc:
         # is their worst value over the trimmed nodes
         g = grid_of(spec)
         cert = certify_blc(g)
-        want = mixture_blc_margins(spec, g.xs[_trimmed_range(g)]).min()
+        want = mixture_blc_margins(spec, g.xs[g.j_range]).min()
         assert cert.status is Status.VIOLATED
         assert cert.slack == pytest.approx(want, rel=1e-3)
 
@@ -292,3 +298,29 @@ def test_subcritical_mixtures_certify(a, sd):
     # separation-to-sd ratios up to 1.2 stay clear of the critical ratio 1.3473
     g = materialize(mixture_spec(a * sd, sd=sd), n_points=1024)
     assert certify_blc(g).status is Status.CERTIFIED
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["gaussian", "logistic", "laplace", "mixture"]),
+       c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0), d=st.floats(0.0, 3.0),
+       tabulated=st.sampled_from([None, "uniform", "sinh"]),
+       n=st.sampled_from([201, 512, 2048]))
+def test_shape_checks_read_the_one_j_range(family, c, s, d, tabulated, n):
+    # J(F) is the node slice with F in [10 MASS_TOL, 1 - 10 MASS_TOL], and
+    # every lens locates its witness inside it
+    if family == "mixture":
+        spec = mixture_spec(d * s, sd=s, shift=c)
+    elif family == "gaussian":
+        spec = DistributionSpec.gaussian(c, s)
+    else:
+        spec = getattr(DistributionSpec, family)(c, s)
+    if tabulated is None or family == "mixture":  # tabulated_spec takes a location-scale law
+        g = materialize(spec, n_points=n)
+    else:
+        g = materialize(tabulated_spec(spec, n, spacing=tabulated))
+    trim = 10.0 * MASS_TOL
+    assert np.array_equal(g.xs[g.j_range], g.xs[(g.Fs >= trim) & (g.Fs <= 1.0 - trim)])
+    first, last = g.xs[g.j_range][[0, -1]]
+    for check in (check_hazards, check_derivative_sandwich, check_log_concave):
+        witness = check(g).witness_x
+        assert witness is None or first <= witness <= last, check.__name__

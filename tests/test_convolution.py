@@ -24,8 +24,8 @@ from blc_lab import (
     materialize,
     smooth_sequence,
 )
-from blc_lab.convolution import CONV_CERTIFY_TOL, _eval_outer, _node_sums, _roles, _spacing
-from blc_lab.core import MASS_TOL, cumulative_parabolic
+from blc_lab.convolution import CONV_CERTIFY_TOL, _eval_outer, _node_sums, _roles
+from blc_lab.core import MASS_TOL, _spacing, cumulative_parabolic
 
 from conftest import (
     GAUSSIAN,
@@ -155,7 +155,7 @@ class TestConvolve:
             n = max(len(mix134), n_y) | 1
             gZ = convolve(mix134, gY)
             assert n <= len(gZ) <= 2 * n
-            step = (gZ.xs[1] - gZ.xs[0]) / _spacing(_roles(mix134, gY)[1])
+            step = (gZ.xs[1] - gZ.xs[0]) / _spacing(_roles(mix134, gY)[1].xs)
             assert round(step) >= 1 and abs(step - round(step)) <= 1e-9
 
     def test_direct_sums_when_lattice_does_not_fit(self):
