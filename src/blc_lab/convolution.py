@@ -9,7 +9,8 @@ When Y's grid is uniform with spacing h, the output nodes are put on Y's
 lattice, ``x_k = x_0 + y_0 + m h k``.  Every difference x_k - y_j is then a
 point ``x_0 + h t`` of one lattice, so X's pdf and cdf are each evaluated
 once on it and each quadrature sum over all nodes is one FFT correlation
-with ``quad_weights * f_Y``: the same fourth-order rule on the same
+with ``quad_weights * f_Y`` (scaled to unit sum, so that Y is a
+probability measure on its nodes): the same fourth-order rule on the same
 analytic functions, in O(n log n) instead of O(n^2).  Which factor plays Y
 is decided by the factors, not the argument order (see :func:`_roles`); a
 tabulated factor plays Y unless the other one is uniform, so X is
@@ -92,13 +93,13 @@ def _roles(gX: GridDensity, gY: GridDensity) -> tuple[GridDensity, GridDensity]:
     return (gY, gX) if key(gX) < key(gY) else (gX, gY)
 
 
-def _lattice_sums(fns, start: float, u_ref: float, gY: GridDensity,
+def _lattice_sums(fns, start: float, u_ref: float, gY: GridDensity, wf: np.ndarray,
                   m: int, n_out: int) -> np.ndarray:
     """sum_j wf_j fn(start + m h k - y_j) for k < n_out, one row per fn.
 
     With y_j = y_0 + j h the argument is start - y_0 + h (m k - j), a point
     of one lattice, so each fn is evaluated once on its m (n_out - 1) + n_Y
-    points and the sums are a correlation with wf = quad_weights * f_Y, done
+    points and the sums are a correlation with Y's node weights ``wf``, done
     by one real FFT.  The lattice is laid out from ``u_ref``, one of its
     points, which is then hit exactly (X's kink, which thus meets Y's grid on
     a node).  The transform length is the least power of two not below the
@@ -109,7 +110,7 @@ def _lattice_sums(fns, start: float, u_ref: float, gY: GridDensity,
     i_ref = round((u_ref - start + gY.xs[0]) / h) + n_y - 1
     u = u_ref + h * (np.arange(size) - i_ref)
     n_fft = 1 << (size - 1).bit_length()
-    wf_hat = np.fft.rfft(gY.quad_weights * gY.fs, n_fft)
+    wf_hat = np.fft.rfft(wf, n_fft)
     vals = np.stack([np.asarray(fn(u), dtype=float) for fn in fns])
     full = np.fft.irfft(np.fft.rfft(vals, n_fft, axis=-1) * wf_hat, n_fft, axis=-1)
     return full[:, n_y - 1:size:m]
@@ -149,9 +150,14 @@ def convolve(gX: GridDensity, gY: GridDensity) -> GridDensity:
 def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     """Nodes of X+Y with f_Z and F_Z there (unclipped).
 
-    The factors come in their roles; ``n`` is the least node count.
+    The factors come in their roles; ``n`` is the least node count.  Y's
+    node weights ``quad_weights * f_Y`` are scaled to sum to 1, so Y enters
+    as a unit-mass measure and Z does not inherit the quadrature error of
+    Y's own mass.
     """
     pdf_X, cdf_X = gX.functions()
+    wf = gY.quad_weights * gY.fs
+    wf = wf / wf.sum()
     box = gY.uniform_bounds is not None
     lo = gX.xs[0] + gY.xs[0]
     span = (gX.xs[-1] - gX.xs[0]) + (gY.xs[-1] - gY.xs[0])
@@ -174,10 +180,10 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
             u_ref = gX.kink_x
         n_out = int(math.ceil((lo + span - start) / (m * h) - 1e-9)) + 1
         xs = start + m * h * np.arange(n_out)
-        sums = _lattice_sums(fns, start, u_ref, gY, m, n_out)
+        sums = _lattice_sums(fns, start, u_ref, gY, wf, m, n_out)
     else:
         xs = np.linspace(lo, gX.xs[-1] + gY.xs[-1], n)
-        sums = [_eval_outer(fn, xs, gY.xs, gY.quad_weights * gY.fs) for fn in fns]
+        sums = [_eval_outer(fn, xs, gY.xs, wf) for fn in fns]
 
     if box:
         return xs, _box_density(gX, gY, xs), sums[0]

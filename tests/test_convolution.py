@@ -128,22 +128,30 @@ class TestConvolve:
             assert np.array_equal(a.xs, b.xs)
             assert np.array_equal(a.fs, b.fs)
 
-    def test_laplace_mixture_small_grid_both_orders(self):
+    @pytest.mark.parametrize("sx,nx,sy,ny", [
         # Laplace given first was the outer factor, its kink fell between the
         # inner grid's nodes and the mass missed its tolerance; the roles now
         # put the Laplace factor inside in both orders
-        lap, mix = grid_of(LAPLACE, n=384), grid_of(mixture_spec(0.6, sd=0.6), n=384)
-        for gX, gY in ((lap, mix), (mix, lap)):
+        (LAPLACE, 384, mixture_spec(0.6, sd=0.6), 384),
+        # Y's weights are scaled to unit mass: Z inherited the Laplace grid's
+        # own Simpson error (+3.9e-6), and a Laplace tabulated on an even grid
+        # (quadrature mass 1 - 1.3e-4) failed every convolution it carried
+        (DistributionSpec.laplace(0.3, 0.8), 256, mixture_spec(1.0, sd=0.8), 256),
+        (tabulated_spec(LAPLACE, 401, spacing="uniform"), 401, GAUSSIAN, 512),
+    ], ids=["kink-inside", "laplace-grid-mass", "tabulated-laplace"])
+    def test_laplace_factor_keeps_unit_mass_in_both_orders(self, sx, nx, sy, ny):
+        lap, other = grid_of(sx, n=nx), grid_of(sy, n=ny)
+        for gX, gY in ((lap, other), (other, lap)):
             gZ = convolve(gX, gY)
             assert abs(gZ.total_mass - 1.0) <= MASS_TOL
 
     def test_missed_mass_reports_its_deviation(self):
         # the message carries the signed deviation, which rounding the mass
         # itself to six digits would print as "1"
-        gX = grid_of(DistributionSpec.laplace(2.0, 1.3), n=256)
-        gY = grid_of(DistributionSpec.logistic(-1.0, 0.5), n=256)
+        gX = grid_of(DistributionSpec.laplace(2.0, 1.3), n=128)
+        gY = grid_of(DistributionSpec.logistic(-1.0, 0.5), n=128)
         with pytest.raises(DegenerateDensityError,
-                           match=r"total mass misses 1 by \+3\.9\de-06 \(tolerance 1e-06\)"):
+                           match=r"total mass misses 1 by -8\.8\de-06 \(tolerance 1e-06\)"):
             convolve(gX, gY)
 
     def test_nodes_on_inner_lattice_respect_minimum_count(self, mix134):
@@ -203,7 +211,7 @@ def test_lattice_sums_equal_direct_sums(sx, sy, n):
     xs, fs, Fs = _node_sums(gX, gY, n + 1)
     assert len(xs) >= n + 1
     pdf_X, cdf_X = gX.functions()
-    wf = gY.quad_weights * gY.fs
+    wf = gY.quad_weights * gY.fs / np.sum(gY.quad_weights * gY.fs)
     assert np.abs(Fs - _eval_outer(cdf_X, xs, gY.xs, wf)).max() <= 1e-13
     if gY.uniform_bounds is None:  # else f_Z is a closed form
         assert np.abs(fs - _eval_outer(pdf_X, xs, gY.xs, wf)).max() <= 1e-13
