@@ -60,6 +60,8 @@ from .core import (
 # noise floor; measured worst case is ~1e-7 on equality-tail families
 CONV_CERTIFY_TOL = 1e-5
 _CHUNK = 512
+# odd parts 3^b 5^c of the FFT lengths 2^a 3^b 5^c, which numpy transforms fast
+_ODD_SMOOTH = [3**b * 5**c for b in range(12) for c in range(8)]
 
 
 def _eval_outer(fn, xs_out: np.ndarray, ys: np.ndarray, wf: np.ndarray) -> np.ndarray:
@@ -102,14 +104,15 @@ def _lattice_sums(fns, start: float, u_ref: float, gY: GridDensity, wf: np.ndarr
     points and the sums are a correlation with Y's node weights ``wf``, done
     by one real FFT.  The lattice is laid out from ``u_ref``, one of its
     points, which is then hit exactly (X's kink, which thus meets Y's grid on
-    a node).  The transform length is the least power of two not below the
-    lattice length, so nothing wraps around into the entries read back.
+    a node).  The transform length is the least 2^a 3^b 5^c (b < 12, c < 8)
+    not below the lattice length, so nothing wraps around into the entries
+    read back.
     """
     n_y, h = len(gY), _spacing(gY.xs)
     size = m * (n_out - 1) + n_y
     i_ref = round((u_ref - start + gY.xs[0]) / h) + n_y - 1
     u = u_ref + h * (np.arange(size) - i_ref)
-    n_fft = 1 << (size - 1).bit_length()
+    n_fft = min(p << (-(-size // p) - 1).bit_length() for p in _ODD_SMOOTH if p < 2 * size)
     wf_hat = np.fft.rfft(wf, n_fft)
     vals = np.stack([np.asarray(fn(u), dtype=float) for fn in fns])
     full = np.fft.irfft(np.fft.rfft(vals, n_fft, axis=-1) * wf_hat, n_fft, axis=-1)
