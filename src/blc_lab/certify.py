@@ -13,12 +13,11 @@ the CDF envelope -- exponential upper/lower envelopes of F around anchor
 points, probed on a finite offset grid (:func:`check_envelope`).  Plain
 log-concavity of the density itself is certified from second differences
 of log f by :func:`check_log_concave`.  All of them read the nodes of the
-grid's J(F), ``GridDensity.j_range`` (CDF within ``BOUNDARY_TRIM *
-MASS_TOL`` of neither 0 nor 1), and envelope anchors must lie in it.
-Every check reports a signed,
-scale-free worst-case slack; :func:`_verdict` turns margins into a
-verdict, Certified only when the worst one clears ``-tolerance`` (so a NaN
-margin fails).
+grid's J(F), ``GridDensity.j_range`` (CDF at least ``BOUNDARY_TRIM *
+MASS_TOL`` away from 0 and 1), and envelope anchors must lie in it.
+Every check reports a signed, scale-free worst-case slack; :func:`_verdict`
+turns margins into a verdict, Certified only when the worst one clears
+``-tolerance`` (so a NaN margin fails).
 """
 from __future__ import annotations
 

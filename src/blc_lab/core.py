@@ -7,10 +7,10 @@ an arbitrary strictly increasing grid.  Either way it is materialized into a
 monotone piecewise-linear interpolation for CDF evaluation and quantile
 inversion.  The grid derives its J(F) once, when it is built: the nodes
 whose CDF clears a boundary trim of ``BOUNDARY_TRIM * MASS_TOL``, on which
-every shape check runs.  Analytic families keep their closed-form pdf and CDF attached,
-so that convolution sums evaluate a factor exactly off its nodes.  The
-density derivative is read at the nodes only: in closed form for an
-analytic family, else from finite differences.
+every shape check runs.  Analytic families keep their closed-form pdf and
+CDF attached, so that convolution sums evaluate a factor exactly off its
+nodes.  The density derivative is read at the nodes only: in closed form
+for an analytic family, else from finite differences.
 """
 from __future__ import annotations
 
