@@ -3,7 +3,7 @@
 The toolkit certifies or refutes bi-log-concavity of one-dimensional
 probability measures, computes their isoperimetric and Poincare constants
 and concentration bounds, tests convolution stability through a covariance
-criterion, and extends the checks to symmetric measures on R^d via line
+criterion, and extends the checks to Gaussian mixtures on R^d via line
 projections.
 """
 

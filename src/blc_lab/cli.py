@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", default="1,0.5,0.25,0.1", help="decreasing bandwidths")
     p.set_defaults(fn=_cmd_smooth)
 
-    p = sub.add_parser("project", help="project a symmetric R^d mixture onto a line")
+    p = sub.add_parser("project", help="project an R^d Gaussian mixture onto a line and certify it")
     common(p)
     p.add_argument("--u", required=True, help="direction vector, comma separated")
     p.set_defaults(fn=_cmd_project)

@@ -268,18 +268,11 @@ def _mixture_family(weights, means, sds, window=None):
 def _mixture_windows(w, mu, sd):
     """(left, anchor, right) arrays of a stack of Gaussian mixtures.
 
-    ``w`` has shape (k,), ``mu`` and ``sd`` (D, k).  A mirror-closed mixture
-    is anchored at its center of symmetry, any other at its median; the
-    window edges and the medians come from one solver call.
+    ``w`` has shape (k,), ``mu`` and ``sd`` (D, k).  Each mixture is anchored
+    at its median; the window edges and the medians come from one solver call.
     """
-    center = (w * mu).sum(axis=-1)
-    symmetric = np.array([
-        mirror_closed(w.tolist(), [(m - c,) for m in row], [(s,) for s in sds], tol=1e-12)
-        for c, row, sds in zip(center.tolist(), mu.tolist(), sd.tolist())])
-    ps = [_TAIL, 1.0 - _TAIL] + ([] if symmetric.all() else [0.5])
-    q = _mixture_quantile(np.tile(ps, (len(mu), 1)), w, mu, sd)
-    anchor = center if symmetric.all() else np.where(symmetric, center, q[:, -1])
-    return q[:, 0], anchor, q[:, 1]
+    return tuple(_mixture_quantile(np.tile([_TAIL, 0.5, 1.0 - _TAIL], (len(mu), 1)),
+                                   w, mu, sd).T)
 
 
 def _mixture_quantile(p, w, mu, sd):
@@ -290,7 +283,9 @@ def _mixture_quantile(p, w, mu, sd):
     ``mu + sd * ndtri(p)`` and found by Newton steps on the log of the
     closed-form CDF, or of the survival function when p > 1/2 (on ``F - p``
     the root interval near p = 1 is some 1e-8 wide); a step that leaves the
-    bracket becomes a bisection.  A root is final once a step moves it by at
+    bracket becomes a bisection.  A median starts from the mixture mean, so a
+    mixture whose F rounds to 1/2 on a whole interval is anchored at its
+    mean when that lies inside.  A root is final once a step moves it by at
     most ``_XTOL`` (plus ``_RTOL`` relative), so it does not depend on the
     rest of the stack.  Raises ``RuntimeError`` after ``_MAXITER`` steps.
     """
@@ -302,9 +297,11 @@ def _mixture_quantile(p, w, mu, sd):
     comp = mu + sd * ndtri(P)
     lo, hi = comp.min(axis=0), comp.max(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # start where the component nearest the root alone holds the tail mass
+        # start where the component nearest the root alone holds the tail mass,
+        # or for a median at the mean: the center of a mirror-symmetric mixture
         own = mu + sign * sd * ndtri(np.minimum(target / w[:, None, None], 1.0))
-        x = np.clip(np.where(sign > 0, own.min(axis=0), own.max(axis=0)), lo, hi)
+        x = np.where(sign > 0, own.min(axis=0), own.max(axis=0))
+        x = np.clip(np.where(P == 0.5, (w[:, None, None] * mu).sum(axis=0), x), lo, hi)
         done = hi - lo <= 2.0 * (_XTOL + _RTOL * np.abs(x))
         for _ in range(_MAXITER):
             if done.all():
@@ -318,37 +315,6 @@ def _mixture_quantile(p, w, mu, sd):
             done |= np.abs(step - x) <= _XTOL + _RTOL * np.abs(step)
             x = step
     raise RuntimeError(f"mixture quantile: no convergence in {_MAXITER} steps")
-
-
-def mirror_closed(weights, locations, shapes, tol, rtol=0.0) -> bool:
-    """Whether components (w, a, b) pair up with mirror images (w, -a, b).
-
-    Pairing is greedy: each unmatched component takes the first unused
-    component (itself included) that matches.  Weights match within ``tol``;
-    a location row must match the mirrored row, and a shape row the shape
-    row, entrywise as ``numpy.isclose(x, y, atol=tol, rtol=rtol)`` matches x
-    to y.  Locations are taken about the center of symmetry.
-    """
-    mirrors = [[-v for v in a] for a in locations]
-    used = [False] * len(weights)
-    for i, wi in enumerate(weights):
-        if used[i]:
-            continue
-        for j, wj in enumerate(weights):
-            if (not used[j] and abs(wj - wi) <= tol
-                    and _isclose(locations[j], mirrors[i], tol, rtol)
-                    and _isclose(shapes[j], shapes[i], tol, rtol)):
-                used[i] = used[j] = True
-                break
-        else:
-            return False
-    return True
-
-
-def _isclose(xs, ys, atol, rtol) -> bool:
-    # numpy.isclose, scalar by scalar: a few components never pay for arrays
-    return all(x == y or (abs(x - y) <= atol + rtol * abs(y) and math.isfinite(y))
-               for x, y in zip(xs, ys))
 
 
 def _uniform_family(lo, hi):
@@ -615,9 +581,9 @@ def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:
 
     Analytic families are truncated to a window holding at least
     ``DEFAULT_COVERAGE`` of their mass and renormalized; the window is laid
-    out so that the family anchor (location parameter, center of symmetry,
-    or median) falls exactly on an even-index node.  Grid specs keep their
-    given abscissas.
+    out so that the family anchor (location parameter, or a mixture's median
+    solved from its mean) falls exactly on an even-index node.  Grid specs
+    keep their given abscissas.
     """
     if spec.family != "grid" and n_points < 64:
         raise SpecError("invalid spec: n_points must be >= 64")

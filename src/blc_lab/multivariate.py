@@ -1,13 +1,13 @@
-"""Symmetric Gaussian-mixture measures on R^d and their line projections.
+"""Gaussian-mixture measures on R^d and their line projections.
 
-The measure class is restricted to finite Gaussian mixtures whose component
-set is closed under x -> -x, so every projection onto a line through the
-origin is a symmetric one-dimensional Gaussian mixture in closed form:
-direction u turns component (w, mu, Sigma) into (w, mu . u, u^T Sigma u).
+The measure class is the finite Gaussian mixtures, so every projection onto
+a line through the origin is a one-dimensional Gaussian mixture in closed
+form: direction u turns component (w, mu, Sigma) into (w, mu . u, u^T Sigma u).
 That reduction carries the whole one-dimensional machinery — certification,
 half-space profiles, convolution — to R^d through deterministic direction
-scans on the half-sphere (antipodal directions are redundant for symmetric
-measures, and parallel lines only translate the projected law).
+scans on the half-sphere.  Antipodal directions are redundant: -u projects
+to the law of -Y.u, and BLC and the half-space profile are invariant under
+that reflection; parallel lines only translate the projected law.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from .certify import (Certificate, CertifyOptions, Status, certify_blc,
                       combined_status)
-from .core import (GridDensity, SpecError, mirror_closed, _json_numbers, _mixture_family,
-                   _mixture_windows, _read_json, _tabulate, _write_csv)
+from .core import (GridDensity, SpecError, _json_numbers, _mixture_family, _mixture_windows,
+                   _read_json, _tabulate, _write_csv)
 from .isoperimetry import IsoProfile, halfspace_profile_1d, weak_blc_ratio_check
 
 EIGENVALUE_FLOOR = 1e-10
@@ -30,11 +30,11 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 @dataclass(frozen=True)
 class SymmetricMixtureNd:
-    """Gaussian mixture on R^d, symmetric around the origin.
+    """Gaussian mixture on R^d, any finite one.
 
-    Every component (w, mu, Sigma) must have a mirror (w, -mu, Sigma) in the
-    component list (possibly itself when mu = 0); covariances must clear a
-    positive-definiteness floor so every projection has a density.
+    The name is historical: the components need not be mirror-symmetric.
+    Covariances must clear a positive-definiteness floor so every projection
+    has a density.
     """
 
     dimension: int
@@ -63,10 +63,6 @@ class SymmetricMixtureNd:
             if np.linalg.eigvalsh(S).min() <= EIGENVALUE_FLOOR:
                 raise SpecError(
                     f"invalid spec: covariance {i} below the eigenvalue floor")
-        if not mirror_closed(w.tolist(), mu.tolist(),
-                             cov.reshape(len(w), -1).tolist(), tol=1e-9, rtol=1e-5):
-            raise SpecError(
-                "invalid spec: component set is not closed under x -> -x")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
@@ -137,7 +133,7 @@ def direction_set(dimension: int, n_directions: int) -> np.ndarray:
 
 def project_to_line(m: SymmetricMixtureNd, u: Sequence[float],
                     n_grid: int = 2048) -> GridDensity:
-    """Law of Y.u for Y ~ m: a symmetric 1-D Gaussian mixture, materialized."""
+    """Law of Y.u for Y ~ m: a 1-D Gaussian mixture, materialized at its median."""
     u = np.asarray(u, dtype=float)
     if u.shape != (m.dimension,):
         raise SpecError(f"invalid spec: direction must have {m.dimension} coordinates")

@@ -232,6 +232,21 @@ def test_criterion_10_multivariate_suite():
         worst = max(worst, float(np.abs(lhs.pdf(xs) - rhs.pdf(xs)).max()))
     parts["d"] = worst <= 1e-5
 
+    # (e) the converse of (c) fails: at components +-(2, 0) with covariance
+    # diag(1, s), every s refutes weak*, while the ratio check separates
+    # s = 100 (certified) from s = 1 and 25 (refuted)
+    def stretched(s):
+        return bl.SymmetricMixtureNd(
+            2, np.array([0.5, 0.5]), np.array([[-2.0, 0.0], [2.0, 0.0]]),
+            np.array([np.diag([1.0, s])] * 2))
+
+    ratio = {s: bl.weak_blc_check_nd(stretched(s), ps, 64, n_grid=1024).status
+             for s in (1.0, 25.0, 100.0)}
+    parts["e"] = (all(bl.weak_star_check(stretched(s), 64, n_grid=1024).verdict
+                      is bl.Status.VIOLATED for s in ratio)
+                  and ratio == {1.0: bl.Status.VIOLATED, 25.0: bl.Status.VIOLATED,
+                                100.0: bl.Status.CERTIFIED})
+
     elapsed = time.perf_counter() - t0
     ok = all(parts.values()) and elapsed < 120.0
     assert report(10, f"multivariate suite parts {parts}, worst dir angle "

@@ -19,6 +19,8 @@ from blc_lab import (
     DomainError,
     GridDensity,
     SpecError,
+    Status,
+    certify_blc,
     core,
     materialize,
 )
@@ -145,12 +147,22 @@ class TestMaterialize:
         with pytest.raises(DegenerateDensityError, match="total mass"):
             GridDensity(xs=xs, fs=3.0 * g.fs, Fs=g.Fs)
 
-    def test_mixture_symmetry_tolerance(self):
-        # a symmetric mixture puts its center on a node; others their median
-        for dsd, symmetric in ((1e-13, True), (1e-10, False)):
-            spec = DistributionSpec.gaussian_mixture([0.5, 0.5], [-1.0, 1.0],
-                                                     [1.0, 1.0 + dsd])
-            assert (0.0 in materialize(spec).xs) is symmetric
+    def test_mixture_anchor_is_median_solved_from_mean(self):
+        # a mirrored mixture has its center on a node
+        assert 0.0 in materialize(MIX_134).xs
+        # F rounds to 1/2 from x = -0.85 to 0.07: the median starts, and
+        # stays, at the mean, and the law is refuted either way
+        flat = DistributionSpec.gaussian_mixture([0.5, 0.5], [-5.0, 5.0], [0.5, 0.6])
+        g = materialize(flat, n_points=256)
+        assert 0.0 in g.xs
+        cert = certify_blc(g)
+        assert (cert.status, cert.slack) == (Status.VIOLATED, -1.0)
+        # a law with density at its median is anchored where its F is 1/2
+        w, mu, sd = [0.3, 0.7], [0.0, 1.0], [1.0, 0.8]
+        g = materialize(DistributionSpec.gaussian_mixture(w, mu, sd))
+        anchor = g.xs[len(g) // 2]
+        F = sum(wi * ndtr((anchor - mi) / si) for wi, mi, si in zip(w, mu, sd))
+        assert abs(F - 0.5) <= 1e-12
 
 
 class TestCdfQuantile:
