@@ -5,9 +5,11 @@ a line through the origin is a one-dimensional Gaussian mixture in closed
 form: direction u turns component (w, mu, Sigma) into (w, mu . u, u^T Sigma u).
 That reduction carries the whole one-dimensional machinery — certification,
 half-space profiles, convolution — to R^d through deterministic direction
-scans on the half-sphere.  Antipodal directions are redundant: -u projects
-to the law of -Y.u, and BLC and the half-space profile are invariant under
-that reflection; parallel lines only translate the projected law.
+scans on the half-sphere: certification checks one tabulated grid per line,
+while the half-space profile solves every line's quantiles in closed form.
+Antipodal directions are redundant: -u projects to the law of -Y.u, and BLC
+and the half-space profile are invariant under that reflection; parallel
+lines only translate the projected law.
 """
 from __future__ import annotations
 
@@ -20,9 +22,10 @@ import numpy as np
 
 from .certify import (Certificate, CertifyOptions, Status, certify_blc,
                       combined_status)
-from .core import (GridDensity, SpecError, _json_numbers, _mixture_family, _mixture_windows,
-                   _read_json, _tabulate, _write_csv)
-from .isoperimetry import IsoProfile, halfspace_profile_1d, weak_blc_ratio_check
+from .core import (_TERMS, DomainError, GridDensity, SpecError, _json_numbers, _mixture_family,
+                   _mixture_quantile, _mixture_sum, _mixture_windows, _read_json, _tabulate,
+                   _write_csv)
+from .isoperimetry import IsoProfile, weak_blc_ratio_check
 
 EIGENVALUE_FLOOR = 1e-10
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -151,24 +154,27 @@ def _line_grids(m: SymmetricMixtureNd, U: np.ndarray, n_grid: int) -> Iterator[G
     """
     if n_grid < 64:
         raise SpecError("invalid spec: n_points must be >= 64")
+    means, sds = _projected_components(m, U)
+    label = f"gaussian_mixture(k={m.n_components})"
+    for mu, sd, *window in zip(means, sds, *_mixture_windows(m.weights, means, sds)):
+        yield _tabulate(_mixture_family(m.weights, mu, sd, window), n_grid, label)
+
+
+def _projected_components(m: SymmetricMixtureNd, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, k) component means and sds of m's projections on the lines of U's rows."""
     U = U / np.sqrt((U * U).sum(axis=1, keepdims=True))
     means = (U[:, None, :] * m.means).sum(axis=-1)
     variances = (U[:, None, :, None] * m.covariances * U[:, None, None, :]).sum(axis=(-2, -1))
     sds = np.sqrt(np.maximum(variances, EIGENVALUE_FLOOR))
     if not (np.isfinite(means).all() and np.isfinite(sds).all()):
         raise SpecError("invalid spec: gaussian_mixture parameters must be finite")
-    label = f"gaussian_mixture(k={m.n_components})"
-    for mu, sd, *window in zip(means, sds, *_mixture_windows(m.weights, means, sds)):
-        yield _tabulate(_mixture_family(m.weights, mu, sd, window), n_grid, label)
+    return means, sds
 
 
-def _projections(m: SymmetricMixtureNd, n_directions: int,
-                 n_grid: int) -> Iterator[tuple[np.ndarray, GridDensity]]:
-    """Scanned directions with their projected laws, one grid alive at a time."""
+def _scan_directions(m: SymmetricMixtureNd, n_directions: int) -> np.ndarray:
     if n_directions < 2 * m.dimension:
         raise SpecError("n_directions must be at least 2 * dimension")
-    U = direction_set(m.dimension, n_directions)
-    return zip(U, _line_grids(m, U, n_grid))
+    return direction_set(m.dimension, n_directions)
 
 
 @dataclass(frozen=True)
@@ -220,11 +226,8 @@ def weak_star_check(
     The verdict aggregates the per-direction certificates (any violation
     wins, then any inconclusive); ``worst_direction`` minimizes the slack.
     """
-    dirs, certs = [], []
-    for u, g in _projections(m, n_directions, n_grid):
-        dirs.append(u)
-        certs.append(certify_blc(g, opts))
-    dirs = np.array(dirs)
+    dirs = _scan_directions(m, n_directions)
+    certs = [certify_blc(g, opts) for g in _line_grids(m, dirs, n_grid)]
     worst = dirs[int(np.argmin([c.slack for c in certs]))]
     return DirectionScan(directions=dirs, certificates=tuple(certs),
                          worst_direction=worst, verdict=combined_status(certs))
@@ -236,11 +239,23 @@ def halfspace_profile_nd(
     n_directions: int,
     n_grid: int = 2048,
 ) -> IsoProfile:
-    """Half-space profile as the directional infimum of projected profiles."""
+    """Half-space profile as the directional infimum of projected profiles.
+
+    Each line's min{f_u(F_u^{-1}(p)), f_u(F_u^{-1}(1-p))} is solved in closed
+    form, to the mixture quantile solver's tolerance, for 256 lines per call;
+    ``n_grid`` has no effect.  A p outside (0, 1) raises :class:`DomainError`.
+    """
     ps = np.asarray(ps, dtype=float)
-    stacked = np.array([halfspace_profile_1d(g, ps).values
-                        for _, g in _projections(m, n_directions, n_grid)])
-    return IsoProfile(ps=ps, values=stacked.min(axis=0), kind="halfspace_nd")
+    if not np.all((ps > 0.0) & (ps < 1.0)):
+        raise DomainError("quantile domain: p must lie strictly inside (0, 1)")
+    U, values = _scan_directions(m, n_directions), np.inf
+    for lo in range(0, len(U), 256):
+        means, sds = _projected_components(m, U[lo:lo + 256])
+        x = _mixture_quantile(np.tile(np.concatenate([ps, 1.0 - ps]), (len(means), 1)),
+                              m.weights, means, sds)
+        fs = _mixture_sum(_TERMS["pdf"], m.weights, means.T[..., None], sds.T[..., None], x)
+        values = np.minimum(values, fs.reshape(len(means), 2, len(ps)).min(axis=(0, 1)))
+    return IsoProfile(ps=ps, values=values, kind="halfspace_nd")
 
 
 def weak_blc_check_nd(
@@ -249,7 +264,7 @@ def weak_blc_check_nd(
     n_directions: int,
     n_grid: int = 2048,
 ) -> Certificate:
-    """Ratio monotonicity of the scanned half-space profile."""
+    """Ratio monotonicity of the scanned half-space profile (``n_grid`` has no effect)."""
     return weak_blc_ratio_check(halfspace_profile_nd(m, ps, n_directions, n_grid=n_grid))
 
 

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 
 from blc_lab import (
+    DomainError,
     SpecError,
     Status,
     SymmetricMixtureNd,
@@ -42,18 +45,33 @@ def axis_mixture_2d(a, sd=1.0):
 
 
 @st.composite
-def _mixtures_2d(draw, k_min=1):
-    """A Gaussian mixture on R^2 of k_min to 3 components, mirrored or not."""
+def _mixtures(draw, dimension=2, k_min=1):
+    """A Gaussian mixture on R^dimension of k_min to 3 components, mirrored or not."""
     k = draw(st.integers(k_min, 3))
     raw = [draw(st.floats(0.2, 1.0)) for _ in range(k)]
     w = [r / sum(raw) for r in raw[:-1]]
-    means = [[draw(st.floats(-3.0, 3.0)) for _ in range(2)] for _ in range(k)]
+    means = [[draw(st.floats(-3.0, 3.0)) for _ in range(dimension)] for _ in range(k)]
     covs = []
     for _ in range(k):
-        a, b, c = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0))
-        chol = np.array([[a, 0.0], [c, b]])
+        chol = np.diag([draw(st.floats(0.5, 2.0)) for _ in range(dimension)])
+        for i, j in zip(*np.tril_indices(dimension, -1)):
+            chol[i, j] = draw(st.floats(-1.0, 1.0))
         covs.append(chol @ chol.T)
-    return SymmetricMixtureNd(2, np.array(w + [1.0 - sum(w)]), np.array(means), np.array(covs))
+    return SymmetricMixtureNd(dimension, np.array(w + [1.0 - sum(w)]), np.array(means),
+                              np.array(covs))
+
+
+def closed_form_profile(m, ps, n_directions):
+    """min over direction_set of f_u(F_u^{-1}(p)) and f_u(F_u^{-1}(1-p)), by brentq."""
+    values = np.full(len(ps), np.inf)
+    for u in direction_set(m.dimension, n_directions):
+        mu, sd = m.means @ u, np.sqrt(np.einsum("i,kij,j->k", u, m.covariances, u))
+        lo, hi = float(np.min(mu - 12.0 * sd)), float(np.max(mu + 12.0 * sd))
+        roots = [[brentq(lambda x: np.sum(m.weights * ndtr((x - mu) / sd)) - q, lo, hi,
+                         xtol=1e-15) for q in (p, 1.0 - p)] for p in ps]
+        f = np.sum(m.weights * norm_pdf(np.array(roots)[..., None], mu, sd), axis=-1)
+        values = np.minimum(values, f.min(axis=1))
+    return values
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +118,7 @@ class TestConstruction:
         assert np.abs(scan.slacks() - centred.slacks()).max() <= 1e-9
 
     @settings(max_examples=25, deadline=None)
-    @given(m=_mixtures_2d(k_min=2), v=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+    @given(m=_mixtures(k_min=2), v=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
     def test_translation_keeps_scan_slacks(self, m, v):
         # parallel lines only translate the projected law, and its median
         # anchor moves with it
@@ -269,37 +287,70 @@ class TestWeakStarScan:
 
 class TestHalfspaceProfileNd:
     @pytest.mark.parametrize("name", ["gauss2d", "mix2d_134", "mix2d_30", "mix2d_8", "gauss3d"])
-    def test_infimum_of_projected_profiles(self, name, request):
+    def test_equals_closed_form_infimum(self, name, request):
+        m = request.getfixturevalue(name)
+        target = closed_form_profile(m, PS, 16)
+        prof = halfspace_profile_nd(m, PS, 16).values
+        assert np.all(np.abs(prof - target) <= 1e-12 * target)
+
+    @pytest.mark.parametrize("name", ["gauss2d", "mix2d_134", "mix2d_30", "mix2d_8", "gauss3d"])
+    def test_agrees_with_projected_grid_profiles(self, name, request):
+        # the line grids' interpolated profiles miss the closed form by their
+        # discretization error only
         m = request.getfixturevalue(name)
         per_direction = [halfspace_profile_1d(project_to_line(m, u), PS).values
                          for u in direction_set(m.dimension, 16)]
-        assert np.array_equal(halfspace_profile_nd(m, PS, 16).values,
-                              np.min(per_direction, axis=0))
+        grid = np.min(per_direction, axis=0)
+        prof = halfspace_profile_nd(m, PS, 16).values
+        assert np.all(np.abs(prof - grid) <= 2e-5 * grid)
 
     def test_gaussian_profile_closed_form(self, gauss2d):
-        from scipy.special import ndtri
         prof = halfspace_profile_nd(gauss2d, PS, 16)
         target = norm_pdf(ndtri(PS))
-        assert np.abs(prof.values - target).max() <= 1e-5
+        assert np.abs(prof.values - target).max() <= 1e-12
         assert prof.kind == "halfspace_nd"
 
     def test_flagship_mixture_center_value(self, mix2d_134):
         # the directional infimum at p = 1/2 is attained along the mean axis
         prof = halfspace_profile_nd(mix2d_134, np.array([0.5]), 64)
-        assert prof.values[0] == pytest.approx(norm_pdf(1.34), abs=1e-6)
+        assert prof.values[0] == pytest.approx(norm_pdf(1.34), abs=1e-12)
 
     def test_symmetry_in_p(self, mix2d_134):
         prof = halfspace_profile_nd(mix2d_134, PS, 32)
         assert np.abs(prof.values - prof.values[::-1]).max() <= 1e-9
 
     def test_refinement_monotonicity(self, mix2d_134):
-        # planar direction grids nest under doubling, so the infimum can
-        # only move down
+        # planar direction grids nest under doubling and each line's roots do
+        # not depend on the rest of the stack, so across the 256-line blocks
+        # the infimum can only move down
         p16 = halfspace_profile_nd(mix2d_134, PS, 16).values
         p32 = halfspace_profile_nd(mix2d_134, PS, 32).values
         p64 = halfspace_profile_nd(mix2d_134, PS, 64).values
-        assert np.all(p32 <= p16 + 1e-12)
-        assert np.all(p64 <= p32 + 1e-12)
+        assert np.all(p32 <= p16) and np.all(p64 <= p32)
+        p256 = halfspace_profile_nd(mix2d_134, PS, 256).values
+        p512 = halfspace_profile_nd(mix2d_134, PS, 512).values
+        p1024 = halfspace_profile_nd(mix2d_134, PS, 1024).values
+        assert np.all(p512 <= p256) and np.all(p1024 <= p512)
+
+    @pytest.mark.parametrize("ps", [[0.0, 0.5], [0.5, 1.0], [0.2, np.nan], [-0.1, 0.5]])
+    def test_p_outside_unit_interval_is_a_domain_error(self, mix2d_134, ps):
+        with pytest.raises(DomainError, match="quantile domain"):
+            halfspace_profile_nd(mix2d_134, ps, 16)
+        with pytest.raises(DomainError, match="quantile domain"):
+            weak_blc_check_nd(mix2d_134, ps, 16)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.one_of(_mixtures(), _mixtures(dimension=3)),
+           v=st.tuples(*[st.floats(-5.0, 5.0)] * 3))
+    def test_closed_form_and_translation_on_random_mixtures(self, m, v):
+        # parallel lines only translate the projected law
+        prof = halfspace_profile_nd(m, PS, 8).values
+        target = closed_form_profile(m, PS, 8)
+        assert np.all(np.abs(prof - target) <= 1e-10 * target)
+        moved = SymmetricMixtureNd(m.dimension, m.weights, m.means + np.array(v[:m.dimension]),
+                                   m.covariances)
+        shifted = halfspace_profile_nd(moved, PS, 8).values
+        assert np.all(np.abs(shifted - prof) <= 1e-12 * prof)
 
 
 class TestWeakBlcNd:
@@ -325,7 +376,7 @@ class TestWeakBlcNd:
                 assert weak_blc_check_nd(m, PS, 32).status is Status.CERTIFIED
 
     @settings(max_examples=40, deadline=None)
-    @given(m=_mixtures_2d())
+    @given(m=_mixtures())
     def test_weak_star_implies_weak_on_random_mixtures(self, m):
         # an infimum of nonincreasing ratios I(p)/p is nonincreasing; the two
         # checks discretize differently, so only scans that clear 1e-3 count
