@@ -15,9 +15,14 @@ analytic functions, in O(n log n) instead of O(n^2).  Which factor plays Y
 is decided by the factors, not the argument order (see :func:`_roles`); a
 tabulated factor plays Y unless the other one is uniform, so X is
 interpolated (:meth:`GridDensity.functions`) only when both are tabulated.
-A non-uniform Y grid keeps the direct O(n^2) sum.  The result carries node
-values only: where its density derivative is read, it comes from finite
-differences, as for any tabulated density.
+A non-uniform Y grid keeps the direct O(n^2) sum, in blocks of the largest
+power-of-two row count with rows * n_Y <= 8192 (64 KB per array).  X's CDF
+is evaluated there only on the band of columns where x - y can meet X's
+grid; off it every cdf accessor returns F_X's first or last node value
+(``np.interp`` clamps, analytic families clip).  X's pdf is evaluated on
+every cell: an analytic pdf is not truncated to X's window.  The result
+carries node values only: where its density derivative is read, it comes
+from finite differences, as for any tabulated density.
 
 Stability of bi-log-concavity under the convolution is characterized by two
 covariance conditions: with a(y) = (-log f_Y)'(y),
@@ -26,7 +31,8 @@ covariance conditions: with a(y) = (-log f_Y)'(y),
     cov_{mbar_x}( a, -f_X/(1-F_X) (x - .) )    >= 0   for all x in J(F_Z),
 
 where m_x and mbar_x weight Y's grid by f_Y(y) F_X(x-y) and
-f_Y(y) (1-F_X)(x-y); both are built in :func:`_anchor_covariances` only.
+f_Y(y) (1-F_X)(x-y); both exist in :func:`_anchor_covariances` only, as
+four weighted sums per tilt over blocks of anchors sized as above.
 The first condition is equivalent to log-concavity of F_Z, the second to
 log-concavity of 1-F_Z; both follow from Chebyshev's association
 inequality whenever Y is log-concave, since each second argument
@@ -48,6 +54,7 @@ from .core import (
     MASS_TOL,
     DegenerateDensityError,
     DistributionSpec,
+    DomainError,
     GridDensity,
     SpecError,
     materialize,
@@ -59,17 +66,47 @@ from .core import (
 # certification of quadrature-produced densities tolerates the quadrature
 # noise floor; measured worst case is ~1e-7 on equality-tail families
 CONV_CERTIFY_TOL = 1e-5
-_CHUNK = 512
+# cells (rows x n_Y) of one block of a direct sum or of the covariance
+# criterion: at most 64 KB per (rows, n_Y) array, whatever n and n_Y
+_BLOCK_CELLS = 8192
 # odd parts 3^b 5^c of the FFT lengths 2^a 3^b 5^c, which numpy transforms fast
 _ODD_SMOOTH = [3**b * 5**c for b in range(12) for c in range(8)]
 
 
-def _eval_outer(fn, xs_out: np.ndarray, ys: np.ndarray, wf: np.ndarray) -> np.ndarray:
-    """Accumulate sum_j wf[j] * fn(x_i - y_j) in row chunks."""
+def _block_rows(n_y: int) -> int:
+    """Rows per block of an O(rows * n_Y) sum: the largest power of two with
+    rows * n_Y <= ``_BLOCK_CELLS`` (at least 1)."""
+    return 1 << max(0, (_BLOCK_CELLS // n_y).bit_length() - 1)
+
+
+def _eval_outer(fn, xs_out: np.ndarray, ys: np.ndarray, wf: np.ndarray,
+                window: Optional[tuple] = None) -> np.ndarray:
+    """sum_j wf[j] * fn(x_i - y_j) for every x_i, in blocks of :func:`_block_rows` rows.
+
+    ``window = (u_lo, u_hi, v_lo, v_hi)`` states that fn is v_lo left of u_lo
+    and v_hi right of u_hi, as X's CDF is off X's grid.  Each block then
+    fills the columns whose x_i - y_j all exceed u_hi (a prefix, since
+    ``ys`` ascends) with v_hi and those whose x_i - y_j all fall below u_lo
+    (a suffix) with v_lo, and evaluates fn only on the band between them:
+    the matrix product is unchanged.
+    """
+    n_y = len(ys)
+    rows = _block_rows(n_y)
     out = np.empty(len(xs_out))
-    for lo in range(0, len(xs_out), _CHUNK):
-        hi = min(lo + _CHUNK, len(xs_out))
-        out[lo:hi] = fn(xs_out[lo:hi, None] - ys[None, :]) @ wf
+    buf = np.empty((rows, n_y)) if window else None
+    for lo in range(0, len(xs_out), rows):
+        x = xs_out[lo:lo + rows, None]
+        if window is None:
+            vals = fn(x - ys)
+        else:
+            u_lo, u_hi, v_lo, v_hi = window
+            j0 = np.count_nonzero(x[0] - ys > u_hi)  # x_i - y_j > u_hi in every row
+            j1 = n_y - np.count_nonzero(x[-1] - ys < u_lo)  # x_i - y_j < u_lo in every row
+            vals = buf[:len(x)]
+            vals[:, :j0] = v_hi
+            vals[:, j1:] = v_lo
+            vals[:, j0:j1] = fn(x - ys[j0:j1])
+        out[lo:lo + rows] = vals @ wf
     return out
 
 
@@ -166,7 +203,10 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     span = (gX.xs[-1] - gX.xs[0]) + (gY.xs[-1] - gY.xs[0])
     h = _spacing(gY.xs)
     # the lattice must allow n nodes; past a quarter of the n * n_Y points of
-    # the direct sums (a very fine Y) it is measured to be no faster
+    # the direct sums (a very fine Y) it is measured to be no faster: with a
+    # mixture X at n = 1025 and n_Y = 1024 the banded direct sums take 50-73
+    # ms, the lattice 9-11 ms at 0.07 of n * n_Y and 44-63 ms at 0.27 (the
+    # 512-row sums of 89-133 ms met it between 0.37 and 0.52)
     lattice = h is not None and (n - 1) * h <= span < n * len(gY) * h / 4
 
     fns = [cdf_X] if box else [pdf_X, cdf_X]
@@ -186,7 +226,10 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
         sums = _lattice_sums(fns, start, u_ref, gY, wf, m, n_out)
     else:
         xs = np.linspace(lo, gX.xs[-1] + gY.xs[-1], n)
-        sums = [_eval_outer(fn, xs, gY.xs, wf) for fn in fns]
+        # X's CDF is Fs[0] left of its grid and Fs[-1] right of it
+        window = (gX.xs[0], gX.xs[-1], gX.Fs[0], gX.Fs[-1])
+        sums = [_eval_outer(fn, xs, gY.xs, wf, window if fn is cdf_X else None)
+                for fn in fns]
 
     if box:
         return xs, _box_density(gX, gY, xs), sums[0]
@@ -239,29 +282,34 @@ class ConvolutionCriterionReport:
 
 
 def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
-                        wf: np.ndarray, alive: np.ndarray, a: np.ndarray):
-    """Both covariances at every anchor of ``xs`` in one (anchors x n_Y) pass.
+                        wf: np.ndarray, a: np.ndarray):
+    """Both covariances at every anchor of ``xs``, in blocks of :func:`_block_rows` anchors.
 
+    ``wf`` is Y's node weight, zero at excluded nodes.  For the tilt
+    t = F_X(x - .) (sign +1) or 1 - F_X(x - .) (sign -1) the measure is
+    wf * t and the second argument is sign * f_X / t where t > 0, so four
+    matrix-vector sums give the covariance:
+    z = sum wf t, S_a = sum wf a t, S_b = sum wf f_X [t > 0] and
+    S_ab = sum wf a f_X [t > 0], and cov = sign (S_ab/z - (S_a/z)(S_b/z)).
     Returns (cov_lower, cov_upper, usable); an anchor is usable when both
-    tilted measures carry more than ``MASS_TOL``.  Nodes outside ``alive`` or
-    where the tilt vanishes get zero weight.
+    tilted measures carry more than ``MASS_TOL``.
     """
     pdf_X, cdf_X = gX.functions()
-    u = xs[:, None] - gY.xs[None, :]
-    Fx = np.asarray(cdf_X(u), dtype=float)
-    fx = np.asarray(pdf_X(u), dtype=float)
-    covs, masses = [], []
-    for tilt, sign in ((Fx, 1.0), (1.0 - Fx, -1.0)):
-        live = alive & (tilt > 0.0)
-        w = np.where(live, wf * tilt, 0.0)
-        z = w.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = np.where(live, sign * fx / tilt, 0.0)
-            w = w / z[:, None]
-        covs.append(np.sum(w * a * b, axis=1) - np.sum(w * a, axis=1) * np.sum(w * b, axis=1))
-        masses.append(z)
-    usable = (MASS_TOL < masses[0]) & (MASS_TOL < masses[1])
-    return covs[0], covs[1], usable
+    weights = np.stack([wf, wf * a], axis=1)
+    rows = _block_rows(len(gY))
+    sums = np.empty((len(xs), 2, 4))  # per tilt: z, S_a, S_b, S_ab
+    for lo in range(0, len(xs), rows):
+        u = xs[lo:lo + rows, None] - gY.xs
+        Fx = np.asarray(cdf_X(u), dtype=float)
+        fx = np.asarray(pdf_X(u), dtype=float)
+        for k, tilt in enumerate((Fx, 1.0 - Fx)):
+            sums[lo:lo + rows, k, :2] = tilt @ weights
+            sums[lo:lo + rows, k, 2:] = np.where(tilt > 0.0, fx, 0.0) @ weights
+    z, s_a, s_b, s_ab = np.moveaxis(sums, 2, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cov = np.array([1.0, -1.0]) * (s_ab / z - (s_a / z) * (s_b / z))
+    usable = (MASS_TOL < z[:, 0]) & (MASS_TOL < z[:, 1])
+    return cov[:, 0], cov[:, 1], usable
 
 
 def covariance_criterion(
@@ -277,23 +325,25 @@ def covariance_criterion(
     ``gZ`` to reuse an existing convolution).  Nodes where f_Y falls below
     1e-12 times its maximum are excluded from the quadrature together with
     their (negligible) weight, which is reported; anchors whose tilted
-    measures carry no mass are skipped.
+    measures carry no mass are skipped.  Each covariance comes from four
+    matrix-vector sums (:func:`_anchor_covariances`).  ``tolerance`` must be
+    finite and >= 0 (``SpecError``), the anchors finite (``DomainError``).
     """
-    if not math.isfinite(tolerance):
-        raise SpecError("tolerance must be finite")
+    if not 0 <= tolerance < math.inf:
+        raise SpecError("tolerance must be finite and >= 0")
     if xs is None:
         if gZ is None:
             gZ = convolve(gX, gY)
         xs = gZ.quantile(np.linspace(0.02, 0.98, 41))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("anchors must be finite")
 
     wq = gY.quad_weights
     alive = gY.fs > 1e-12 * gY.fs.max()
     excluded = float(np.sum((wq * gY.fs)[~alive]))
     a = np.where(alive, -gY.node_derivatives() / gY.fs, 0.0)  # a = (-log f_Y)'
-    blocks = [_anchor_covariances(gX, gY, xs[lo:lo + _CHUNK], wq * gY.fs, alive, a)
-              for lo in range(0, max(len(xs), 1), _CHUNK)]  # one block even if empty
-    cov_lo, cov_up, ok = (np.concatenate(parts) for parts in zip(*blocks))
+    cov_lo, cov_up, ok = _anchor_covariances(gX, gY, xs, np.where(alive, wq * gY.fs, 0.0), a)
     kept, cov_lo, cov_up = xs[ok], cov_lo[ok], cov_up[ok]
 
     if len(kept):

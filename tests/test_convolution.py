@@ -1,5 +1,6 @@
 """Convolution quadrature, the covariance criterion, and smoothing sequences."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from blc_lab import (
     CertifyOptions,
     DegenerateDensityError,
     DistributionSpec,
+    DomainError,
     RequiresCertificateError,
     SpecError,
     Status,
@@ -240,6 +242,132 @@ def test_convolution_commutes(sx, sy, n):
         assert np.array_equal(getattr(ab, attr), getattr(ba, attr)), attr
 
 
+# every kind of X the direct sums and the criterion evaluate off its nodes
+_X_KINDS = ("mixture", "gaussian", "logistic", "laplace", "uniform",
+            "even_grid", "sinh_grid", "convolved")
+
+
+@st.composite
+def _x_factors(draw):
+    kind = draw(st.sampled_from(_X_KINDS))
+    c, s = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.3, 2.0))
+    if kind == "convolved":  # tabulated: its CDF is interpolated
+        return convolve(grid_of(mixture_spec(1.0, sd=0.8), n=256),
+                        materialize(DistributionSpec.logistic(c, s), n_points=256))
+    if kind in ("even_grid", "sinh_grid"):
+        spec = tabulated_spec(DistributionSpec.gaussian(c, s), draw(st.sampled_from([301, 1001])),
+                              spacing="uniform" if kind == "even_grid" else "sinh")
+    elif kind == "mixture":
+        spec = mixture_spec(draw(st.floats(0.0, 1.3)) * s, sd=s, shift=c)
+    elif kind == "uniform":
+        spec = DistributionSpec.uniform(c - s, c + s)
+    elif kind == "gaussian":
+        spec = DistributionSpec.gaussian(c, s)
+    else:
+        spec = getattr(DistributionSpec, kind)(c, s)
+    return materialize(spec, n_points=256)
+
+
+def _sinh_y(n, c, s):
+    """A Gaussian tabulated on n sinh-spaced points: the direct-sum Y."""
+    return materialize(tabulated_spec(DistributionSpec.gaussian(c, s), n), n_points=n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gX=_x_factors(), n=st.sampled_from([256, 1024]),
+       c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0))
+def test_blocked_banded_sums_equal_full_matrix_sums(gX, n, c, s):
+    # the row blocks and X's CDF band leave each sum as one full-matrix product
+    gY = _sinh_y(n, c, s)
+    xs = np.linspace(gX.xs[0] + gY.xs[0], gX.xs[-1] + gY.xs[-1], n + 1)
+    wf = gY.quad_weights * gY.fs / np.sum(gY.quad_weights * gY.fs)
+    pdf_X, cdf_X = gX.functions()
+    u = xs[:, None] - gY.xs
+    window = (gX.xs[0], gX.xs[-1], gX.Fs[0], gX.Fs[-1])
+    for got, fn in ((_eval_outer(pdf_X, xs, gY.xs, wf), pdf_X),
+                    (_eval_outer(cdf_X, xs, gY.xs, wf, window), cdf_X)):
+        want = np.asarray(fn(u), dtype=float) @ wf
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    if gX.uniform_bounds is None:  # else the uniform factor becomes Y
+        _, fs, Fs = _node_sums(gX, gY, n + 1)
+        assert np.array_equal(Fs, _eval_outer(cdf_X, xs, gY.xs, wf, window))
+        assert np.array_equal(fs, _eval_outer(pdf_X, xs, gY.xs, wf))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gX=_x_factors(), gaps=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8))
+def test_cdf_accessors_clamp_off_the_grid(gX, gaps):
+    # the band of the direct sums rests on this: off X's grid every CDF
+    # accessor returns exactly the first or last node value
+    cdf_X = gX.functions()[1]
+    gaps = np.asarray(gaps)
+    left = np.nextafter(gX.xs[0] - gaps, -np.inf)
+    right = np.nextafter(gX.xs[-1] + gaps, np.inf)
+    assert np.all(np.asarray(cdf_X(left), dtype=float) == gX.Fs[0])
+    assert np.all(np.asarray(cdf_X(right), dtype=float) == gX.Fs[-1])
+
+
+def _tilted_covariances(gX, gY, xs):
+    """Both covariances with the tilted measures m_x and mbar_x built explicitly."""
+    pdf_X, cdf_X = gX.functions()
+    alive = gY.fs > 1e-12 * gY.fs.max()
+    wf = gY.quad_weights * gY.fs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(alive, -gY.node_derivatives() / gY.fs, 0.0)
+    u = xs[:, None] - gY.xs
+    Fx, fx = np.asarray(cdf_X(u), dtype=float), np.asarray(pdf_X(u), dtype=float)
+    covs, masses = [], []
+    for tilt, sign in ((Fx, 1.0), (1.0 - Fx, -1.0)):
+        live = alive & (tilt > 0.0)
+        w = np.where(live, wf * tilt, 0.0)
+        z = w.sum(axis=1)
+        b = np.where(live, sign * fx / np.where(live, tilt, 1.0), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = w / z[:, None]
+        covs.append(np.sum(w * a * b, axis=1) - np.sum(w * a, axis=1) * np.sum(w * b, axis=1))
+        masses.append(z)
+    return covs[0], covs[1], (masses[0] > MASS_TOL) & (masses[1] > MASS_TOL)
+
+
+_Y_KINDS = ("sinh_grid", "gaussian", "logistic", "laplace", "mixture")
+
+
+@settings(max_examples=30, deadline=None)
+@given(gX=_x_factors(), y_kind=st.sampled_from(_Y_KINDS), n=st.sampled_from([256, 1024]),
+       c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0))
+def test_four_sum_covariances_match_tilted_measures(gX, y_kind, n, c, s):
+    if y_kind == "sinh_grid":
+        gY = _sinh_y(n, c, s)
+    elif y_kind == "mixture":
+        gY = materialize(mixture_spec(0.8 * s, sd=s, shift=c), n_points=n)
+    else:
+        gY = materialize(getattr(DistributionSpec, y_kind)(c, s), n_points=n)
+    xs = gX.quantile(np.linspace(0.02, 0.98, 17)) + gY.median()
+    xs = np.concatenate([xs, [gX.xs[0] + gY.xs[0] - 1.0]])  # one anchor without mass
+    report = covariance_criterion(gX, gY, xs=xs)
+    want_lo, want_up, usable = _tilted_covariances(gX, gY, xs)
+    assert np.array_equal(report.xs, xs[usable])
+    # near-zero covariances are cancellation-limited in either form, hence the floor
+    for got, want in ((report.cov_lower, want_lo[usable]), (report.cov_upper, want_up[usable])):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1e-3))
+
+
+def test_direct_sums_and_criterion_stay_small_in_memory():
+    # blocks of at most 8192 cells: neither pass holds an (n, n_Y) array
+    gX = materialize(mixture_spec(1.0, sd=0.8), n_points=2048)
+    gY = _sinh_y(4001, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        gZ = convolve(gX, gY)
+        conv_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        covariance_criterion(gX, gY, gZ=gZ)
+        crit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert conv_peak < 4 * 2**20 and crit_peak < 4 * 2**20, (conv_peak, crit_peak)
+
+
 class TestCovarianceCriterion:
     def test_flagship_self_convolution_stable(self, mix134):
         report = covariance_criterion(mix134, mix134)
@@ -320,13 +448,20 @@ class TestCovarianceCriterion:
         report = covariance_criterion(grid_of(spec), grid_of(DistributionSpec.gaussian(0.0, 10.0)))
         assert report.verdict is Verdict.STABLE
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     def test_non_finite_tolerance_rejected(self, gauss, tol):
-        # a NaN tolerance used to certify anything and report Unstable here
-        with pytest.raises(SpecError, match="finite"):
+        # a NaN tolerance used to certify anything and report Unstable here,
+        # and a negative one to turn a stable pair Unstable
+        with pytest.raises(SpecError, match="finite and >= 0"):
             CertifyOptions(tolerance=tol)
-        with pytest.raises(SpecError, match="finite"):
+        with pytest.raises(SpecError, match="finite and >= 0"):
             covariance_criterion(gauss, gauss, tolerance=tol)
+
+    @pytest.mark.parametrize("xs", [[math.nan, 0.0], [math.inf], [0.0, -math.inf]])
+    def test_non_finite_anchor_rejected(self, gauss, xs):
+        # a NaN anchor used to be skipped silently, an infinite one to give Inconclusive
+        with pytest.raises(DomainError, match="finite"):
+            covariance_criterion(gauss, gauss, xs=xs)
 
 
 class TestBiconditional:
