@@ -15,14 +15,17 @@ analytic functions, in O(n log n) instead of O(n^2).  Which factor plays Y
 is decided by the factors, not the argument order (see :func:`_roles`); a
 tabulated factor plays Y unless the other one is uniform, so X is
 interpolated (:meth:`GridDensity.functions`) only when both are tabulated.
-A non-uniform Y grid keeps the direct O(n^2) sum, in blocks of the largest
-power-of-two row count with rows * n_Y <= 8192 (64 KB per array).  X's CDF
-is evaluated there only on the band of columns where x - y can meet X's
-grid; off it every cdf accessor returns F_X's first or last node value
-(``np.interp`` clamps, analytic families clip).  X's pdf is evaluated on
-every cell: an analytic pdf is not truncated to X's window.  The result
-carries node values only: where its density derivative is read, it comes
-from finite differences, as for any tabulated density.
+A non-uniform Y grid keeps the direct O(n^2) sum.  It and the covariance
+criterion read X at x - y from one generator, :func:`_x_blocks`, in blocks
+of the largest power-of-two row count with rows * n_Y <= 8192 (64 KB per
+array).  X's CDF is evaluated there only on the band of columns where
+x - y can meet X's grid; off it every cdf accessor returns F_X's first or
+last node value (``np.interp`` clamps, analytic families clip).  The band
+comes from each block's least and greatest x, so the criterion's anchors
+may come in any order.  X's pdf is evaluated on every cell: an analytic
+pdf is not truncated to X's window.  The result carries node values only:
+where its density derivative is read, it comes from finite differences, as
+for any tabulated density.
 
 Stability of bi-log-concavity under the convolution is characterized by two
 covariance conditions: with a(y) = (-log f_Y)'(y),
@@ -32,7 +35,7 @@ covariance conditions: with a(y) = (-log f_Y)'(y),
 
 where m_x and mbar_x weight Y's grid by f_Y(y) F_X(x-y) and
 f_Y(y) (1-F_X)(x-y); both exist in :func:`_anchor_covariances` only, as
-four weighted sums per tilt over blocks of anchors sized as above.
+four weighted sums per tilt over the blocks of :func:`_x_blocks`.
 The first condition is equivalent to log-concavity of F_Z, the second to
 log-concavity of 1-F_Z; both follow from Chebyshev's association
 inequality whenever Y is log-concave, since each second argument
@@ -79,35 +82,32 @@ def _block_rows(n_y: int) -> int:
     return 1 << max(0, (_BLOCK_CELLS // n_y).bit_length() - 1)
 
 
-def _eval_outer(fn, xs_out: np.ndarray, ys: np.ndarray, wf: np.ndarray,
-                window: Optional[tuple] = None) -> np.ndarray:
-    """sum_j wf[j] * fn(x_i - y_j) for every x_i, in blocks of :func:`_block_rows` rows.
+def _x_blocks(gX: GridDensity, xs: np.ndarray, ys: np.ndarray, pdf: bool = True):
+    """X at x_i - y_j, in blocks of :func:`_block_rows` rows of ``xs``.
 
-    ``window = (u_lo, u_hi, v_lo, v_hi)`` states that fn is v_lo left of u_lo
-    and v_hi right of u_hi, as X's CDF is off X's grid.  Each block then
-    fills the columns whose x_i - y_j all exceed u_hi (a prefix, since
-    ``ys`` ascends) with v_hi and those whose x_i - y_j all fall below u_lo
-    (a suffix) with v_lo, and evaluates fn only on the band between them:
-    the matrix product is unchanged.
+    Yields per block its row slice, F_X(x_i - y_j) and, when ``pdf``,
+    f_X(x_i - y_j).  Off X's grid every CDF accessor returns F_X's first or
+    last node value, so the columns whose x_i - y_j all exceed X's last node
+    (a prefix, since ``ys`` ascends) get ``Fs[-1]``, those whose x_i - y_j
+    all fall below its first node (a suffix) get ``Fs[0]``, and the CDF is
+    evaluated only on the band between.  The band is taken from the block's
+    least and greatest x, so ``xs`` may come in any order.  The pdf is
+    evaluated on every cell: an analytic pdf is not truncated to X's window.
+    The CDF block is one buffer, overwritten by the next block.
     """
+    pdf_X, cdf_X = gX.functions()
     n_y = len(ys)
     rows = _block_rows(n_y)
-    out = np.empty(len(xs_out))
-    buf = np.empty((rows, n_y)) if window else None
-    for lo in range(0, len(xs_out), rows):
-        x = xs_out[lo:lo + rows, None]
-        if window is None:
-            vals = fn(x - ys)
-        else:
-            u_lo, u_hi, v_lo, v_hi = window
-            j0 = np.count_nonzero(x[0] - ys > u_hi)  # x_i - y_j > u_hi in every row
-            j1 = n_y - np.count_nonzero(x[-1] - ys < u_lo)  # x_i - y_j < u_lo in every row
-            vals = buf[:len(x)]
-            vals[:, :j0] = v_hi
-            vals[:, j1:] = v_lo
-            vals[:, j0:j1] = fn(x - ys[j0:j1])
-        out[lo:lo + rows] = vals @ wf
-    return out
+    buf = np.empty((rows, n_y))
+    for lo in range(0, len(xs), rows):
+        x = xs[lo:lo + rows, None]
+        j0 = np.count_nonzero(x.min() - ys > gX.xs[-1])  # x_i - y_j > last node in every row
+        j1 = n_y - np.count_nonzero(x.max() - ys < gX.xs[0])  # < first node in every row
+        Fx = buf[:len(x)]
+        Fx[:, :j0] = gX.Fs[-1]
+        Fx[:, j1:] = gX.Fs[0]
+        Fx[:, j0:j1] = cdf_X(x - ys[j0:j1])
+        yield slice(lo, lo + rows), Fx, np.asarray(pdf_X(x - ys), dtype=float) if pdf else None
 
 
 def _roles(gX: GridDensity, gY: GridDensity) -> tuple[GridDensity, GridDensity]:
@@ -195,7 +195,6 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     as a unit-mass measure and Z does not inherit the quadrature error of
     Y's own mass.
     """
-    pdf_X, cdf_X = gX.functions()
     wf = gY.quad_weights * gY.fs
     wf = wf / wf.sum()
     box = gY.uniform_bounds is not None
@@ -209,7 +208,6 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     # 512-row sums of 89-133 ms met it between 0.37 and 0.52)
     lattice = h is not None and (n - 1) * h <= span < n * len(gY) * h / 4
 
-    fns = [cdf_X] if box else [pdf_X, cdf_X]
     if lattice:
         m = max(1, int(span / ((n - 1) * h)))
         start, u_ref = lo, gX.xs[0]
@@ -223,17 +221,17 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
             u_ref = gX.kink_x
         n_out = int(math.ceil((lo + span - start) / (m * h) - 1e-9)) + 1
         xs = start + m * h * np.arange(n_out)
-        sums = _lattice_sums(fns, start, u_ref, gY, wf, m, n_out)
+        pdf_X, cdf_X = gX.functions()
+        sums = _lattice_sums([cdf_X] if box else [pdf_X, cdf_X], start, u_ref, gY, wf, m, n_out)
     else:
         xs = np.linspace(lo, gX.xs[-1] + gY.xs[-1], n)
-        # X's CDF is Fs[0] left of its grid and Fs[-1] right of it
-        window = (gX.xs[0], gX.xs[-1], gX.Fs[0], gX.Fs[-1])
-        sums = [_eval_outer(fn, xs, gY.xs, wf, window if fn is cdf_X else None)
-                for fn in fns]
+        sums = np.empty((2, n))
+        for rows, Fx, fx in _x_blocks(gX, xs, gY.xs, pdf=not box):
+            sums[1, rows] = Fx @ wf
+            if not box:
+                sums[0, rows] = fx @ wf
 
-    if box:
-        return xs, _box_density(gX, gY, xs), sums[0]
-    return xs, sums[0], sums[1]
+    return xs, _box_density(gX, gY, xs) if box else sums[0], sums[-1]
 
 
 def _box_density(gX: GridDensity, gY: GridDensity, xs: np.ndarray) -> np.ndarray:
@@ -283,7 +281,7 @@ class ConvolutionCriterionReport:
 
 def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
                         wf: np.ndarray, a: np.ndarray):
-    """Both covariances at every anchor of ``xs``, in blocks of :func:`_block_rows` anchors.
+    """Both covariances at every anchor of ``xs``, in the blocks of :func:`_x_blocks`.
 
     ``wf`` is Y's node weight, zero at excluded nodes.  For the tilt
     t = F_X(x - .) (sign +1) or 1 - F_X(x - .) (sign -1) the measure is
@@ -294,17 +292,12 @@ def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
     Returns (cov_lower, cov_upper, usable); an anchor is usable when both
     tilted measures carry more than ``MASS_TOL``.
     """
-    pdf_X, cdf_X = gX.functions()
     weights = np.stack([wf, wf * a], axis=1)
-    rows = _block_rows(len(gY))
     sums = np.empty((len(xs), 2, 4))  # per tilt: z, S_a, S_b, S_ab
-    for lo in range(0, len(xs), rows):
-        u = xs[lo:lo + rows, None] - gY.xs
-        Fx = np.asarray(cdf_X(u), dtype=float)
-        fx = np.asarray(pdf_X(u), dtype=float)
+    for rows, Fx, fx in _x_blocks(gX, xs, gY.xs):
         for k, tilt in enumerate((Fx, 1.0 - Fx)):
-            sums[lo:lo + rows, k, :2] = tilt @ weights
-            sums[lo:lo + rows, k, 2:] = np.where(tilt > 0.0, fx, 0.0) @ weights
+            sums[rows, k, :2] = tilt @ weights
+            sums[rows, k, 2:] = np.where(tilt > 0.0, fx, 0.0) @ weights
     z, s_a, s_b, s_ab = np.moveaxis(sums, 2, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         cov = np.array([1.0, -1.0]) * (s_ab / z - (s_a / z) * (s_b / z))
@@ -329,8 +322,7 @@ def covariance_criterion(
     matrix-vector sums (:func:`_anchor_covariances`).  ``tolerance`` must be
     finite and >= 0 (``SpecError``), the anchors finite (``DomainError``).
     """
-    if not 0 <= tolerance < math.inf:
-        raise SpecError("tolerance must be finite and >= 0")
+    tolerance = CertifyOptions(tolerance).tolerance
     if xs is None:
         if gZ is None:
             gZ = convolve(gX, gY)

@@ -358,15 +358,6 @@ def _make_family(spec: DistributionSpec) -> Optional[_Family]:
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_weights(xs: np.ndarray) -> np.ndarray:
-    """Composite-trapezoid quadrature weights for a (possibly non-uniform) grid."""
-    dx = np.diff(xs)
-    w = np.zeros_like(xs)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
-
-
 def _spacing(xs: np.ndarray) -> Optional[float]:
     """Mean node step of a uniform grid (at least 3 nodes); None for any other grid."""
     h = np.diff(xs)
@@ -375,64 +366,33 @@ def _spacing(xs: np.ndarray) -> Optional[float]:
     return None
 
 
-def _parabolic_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell node triples and parabolic weights (in units of h/12).
-
-    Cell i covers [x_i, x_{i+1}] and integrates the parabola through the
-    triple starting at the even index ``base[i]`` (the last triple for the
-    final cell of an even node count), so no parabola straddles an even-index
-    pair boundary.  Returns ``base`` (n-1,) and ``coef`` (n-1, 3).
-    """
-    i = np.arange(n - 1)
-    base = np.minimum(i - i % 2, n - 3)
-    first = (i == base)[:, None]
-    coef = np.where(first, [5.0, 8.0, -1.0], [-1.0, 8.0, 5.0])
-    return base, coef
-
-
 def quadrature_weights(xs: np.ndarray) -> np.ndarray:
     """Interpolatory quadrature weights: parabolic on uniform grids, else trapezoid.
 
-    The parabolic weights reproduce composite Simpson on even cell counts and
-    keep fourth-order accuracy on odd ones; cell parabolas never straddle an
-    even-index pair boundary, matching the kink placement of materialized
-    grids.
+    On a uniform grid, cell i ([x_i, x_{i+1}]) integrates the parabola
+    through the node triple starting at ``base``, the even index at or below
+    i (the last triple for the final cell of an even node count), so no
+    parabola straddles an even-index pair boundary, matching the kink
+    placement of materialized grids.  The weights reproduce composite Simpson on even
+    cell counts and keep fourth-order accuracy on odd ones.  Every integral
+    over a grid uses these weights, except a ``grid`` spec's normalization
+    and node CDF, which are one cumulative trapezoid sum (:func:`materialize`).
     """
     xs = np.asarray(xs, float)
     h = _spacing(xs)
     if h is None:
-        return _trapezoid_weights(xs)
+        dx = np.diff(xs)
+        w = np.zeros_like(xs)
+        w[:-1] += 0.5 * dx
+        w[1:] += 0.5 * dx
+        return w
     n = len(xs)
-    base, coef = _parabolic_cells(n)
+    i = np.arange(n - 1)
+    base = np.minimum(i - i % 2, n - 3)
+    coef = np.where((i == base)[:, None], [5.0, 8.0, -1.0], [-1.0, 8.0, 5.0])  # units of h/12
     # bincount adds the cell contributions in cell order, node by node
     return np.bincount((base[:, None] + np.arange(3)).ravel(),
                        weights=(coef * h / 12.0).ravel(), minlength=n)
-
-
-def _cumulative_trapezoid(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integral of tabulated values, 0 at the first node."""
-    return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(xs) * (fs[1:] + fs[:-1]))))
-
-
-def cumulative_parabolic(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """Cumulative integral of tabulated values, fourth-order on uniform grids.
-
-    Per-cell integrals use the parabola through the nearest node triple, never
-    straddling an even-index pair boundary, so a kink placed on an even index
-    does not degrade the rate.  Falls back to cumulative trapezoid when the
-    grid is not uniform.
-    """
-    xs = np.asarray(xs, float)
-    fs = np.asarray(fs, float)
-    h = _spacing(xs)
-    if h is None:
-        return _cumulative_trapezoid(xs, fs)
-    n = len(xs)
-    base, coef = _parabolic_cells(n)
-    cell = coef[:, 0] * fs[base] + coef[:, 1] * fs[base + 1] + coef[:, 2] * fs[base + 2]
-    out = np.zeros(n)
-    out[1:] = np.cumsum(h * cell / 12.0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +477,7 @@ class GridDensity:
 
     def quantile(self, p) -> np.ndarray | float:
         p_arr = np.asarray(p, dtype=float)
-        if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
+        if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
             raise DomainError("quantile domain: p must lie strictly inside (0, 1)")
         Ftab, xtab = self._quantile_table
         out = np.interp(p_arr, Ftab, xtab)
@@ -583,7 +543,8 @@ def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:
     ``DEFAULT_COVERAGE`` of their mass and renormalized; the window is laid
     out so that the family anchor (location parameter, or a mixture's median
     solved from its mean) falls exactly on an even-index node.  Grid specs
-    keep their given abscissas.
+    keep their given abscissas; their density and node CDF are divided by
+    the mass, the last value of the cumulative trapezoid sum.
     """
     if spec.family != "grid" and n_points < 64:
         raise SpecError("invalid spec: n_points must be >= 64")
@@ -591,13 +552,13 @@ def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:
     if spec.family == "grid":
         xs = np.asarray(spec.params["abscissas"], dtype=float)
         fs = np.asarray(spec.params["density_values"], dtype=float)
-        mass = float(np.sum(_trapezoid_weights(xs) * fs))
+        # cumulative trapezoid, 0 at the first node: the mass is its last value
+        Fs = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(xs) * (fs[1:] + fs[:-1]))))
+        mass = Fs[-1]
         if mass <= 0.0:
             raise DegenerateDensityError("degenerate density: zero total mass")
-        fs = fs / mass
-        Fs = _cumulative_trapezoid(xs, fs)
-        Fs = np.clip(Fs / Fs[-1], 0.0, 1.0)
-        return GridDensity(xs=xs, fs=fs, Fs=Fs, total_mass=1.0, label=spec.label())
+        return GridDensity(xs=xs, fs=fs / mass, Fs=np.clip(Fs / mass, 0.0, 1.0),
+                           total_mass=1.0, label=spec.label())
 
     fam = _make_family(spec)
 

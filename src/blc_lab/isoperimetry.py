@@ -38,11 +38,11 @@ class IsoProfile:
         vals = np.asarray(self.values, dtype=float)
         if ps.shape != vals.shape:
             raise ValueError("ps and values must have the same shape")
-        if np.any((ps <= 0.0) | (ps >= 1.0)):
+        if not np.all((ps > 0.0) & (ps < 1.0)):
             raise ValueError("profile grid must lie strictly inside (0, 1)")
-        if np.any(np.diff(ps) <= 0.0):
+        if not np.all(np.diff(ps) > 0.0):
             raise ValueError("profile grid must be increasing")
-        if np.any(vals < 0.0):
+        if not np.all(vals >= 0.0):
             raise ValueError("profile values must be >= 0")
         if self.kind not in ("full_1d", "halfspace_1d", "halfspace_nd"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
@@ -143,7 +143,7 @@ def concentration_check(g: GridDensity, rs: Sequence[float],
     """Exponential concentration of half-line sets around the median."""
     _require_blc(g, certificate)
     rs = np.asarray(rs, dtype=float)
-    if np.any(rs <= 0.0):
+    if not np.all(rs > 0.0):
         raise SpecError("radii must be > 0")
     m = g.median()
     fm = float(g.pdf(m))

@@ -26,8 +26,8 @@ from blc_lab import (
     materialize,
     smooth_sequence,
 )
-from blc_lab.convolution import CONV_CERTIFY_TOL, _eval_outer, _node_sums, _roles
-from blc_lab.core import MASS_TOL, _spacing, cumulative_parabolic
+from blc_lab.convolution import CONV_CERTIFY_TOL, _node_sums, _roles, _x_blocks
+from blc_lab.core import MASS_TOL, _spacing, quadrature_weights
 
 from conftest import (
     GAUSSIAN,
@@ -105,11 +105,12 @@ class TestConvolve:
         # convolved density must reproduce the same CDF
         gZ = convolve(mix134, laplace)
         probes = gZ.quantile(np.linspace(0.02, 0.98, 50))
-        upper = _eval_outer(lambda u: 1.0 - mix134.cdf_fn(u), probes, laplace.xs,
-                            laplace.quad_weights * laplace.fs)
+        upper = (1.0 - mix134.cdf_fn(probes[:, None] - laplace.xs)) @ (
+            laplace.quad_weights * laplace.fs)
         assert np.abs((1.0 - gZ.cdf(probes)) - upper).max() <= 1e-5
-        rebuilt = cumulative_parabolic(gZ.xs, gZ.fs)
-        assert np.abs(rebuilt - gZ.Fs).max() <= 1e-5
+        ks = np.arange(2, len(gZ), 2)  # the rule on nodes 0..k is composite Simpson
+        rebuilt = [quadrature_weights(gZ.xs[:k + 1]) @ gZ.fs[:k + 1] for k in ks]
+        assert np.abs(rebuilt - gZ.Fs[ks]).max() <= 1e-5
 
     def test_commutativity(self, mix134, logistic):
         a = convolve(mix134, logistic)
@@ -214,9 +215,10 @@ def test_lattice_sums_equal_direct_sums(sx, sy, n):
     assert len(xs) >= n + 1
     pdf_X, cdf_X = gX.functions()
     wf = gY.quad_weights * gY.fs / np.sum(gY.quad_weights * gY.fs)
-    assert np.abs(Fs - _eval_outer(cdf_X, xs, gY.xs, wf)).max() <= 1e-13
+    u = xs[:, None] - gY.xs
+    assert np.abs(Fs - np.asarray(cdf_X(u), dtype=float) @ wf).max() <= 1e-13
     if gY.uniform_bounds is None:  # else f_Z is a closed form
-        assert np.abs(fs - _eval_outer(pdf_X, xs, gY.xs, wf)).max() <= 1e-13
+        assert np.abs(fs - np.asarray(pdf_X(u), dtype=float) @ wf).max() <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,21 +279,21 @@ def _sinh_y(n, c, s):
 @given(gX=_x_factors(), n=st.sampled_from([256, 1024]),
        c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0))
 def test_blocked_banded_sums_equal_full_matrix_sums(gX, n, c, s):
-    # the row blocks and X's CDF band leave each sum as one full-matrix product
+    # X's CDF band changes no value of a block, and the row blocks leave
+    # each sum as one full-matrix product
     gY = _sinh_y(n, c, s)
     xs = np.linspace(gX.xs[0] + gY.xs[0], gX.xs[-1] + gY.xs[-1], n + 1)
-    wf = gY.quad_weights * gY.fs / np.sum(gY.quad_weights * gY.fs)
     pdf_X, cdf_X = gX.functions()
     u = xs[:, None] - gY.xs
-    window = (gX.xs[0], gX.xs[-1], gX.Fs[0], gX.Fs[-1])
-    for got, fn in ((_eval_outer(pdf_X, xs, gY.xs, wf), pdf_X),
-                    (_eval_outer(cdf_X, xs, gY.xs, wf, window), cdf_X)):
-        want = np.asarray(fn(u), dtype=float) @ wf
+    F_full, f_full = np.asarray(cdf_X(u), dtype=float), np.asarray(pdf_X(u), dtype=float)
+    for rows, Fx, fx in _x_blocks(gX, xs, gY.xs):
+        assert np.array_equal(Fx, F_full[rows]) and np.array_equal(fx, f_full[rows])
+    wf = gY.quad_weights * gY.fs / np.sum(gY.quad_weights * gY.fs)
+    got_xs, fs, Fs = _node_sums(gX, gY, n + 1)
+    assert np.array_equal(got_xs, xs)
+    for got, vals in ((fs, f_full), (Fs, F_full)):
+        want = vals @ wf
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    if gX.uniform_bounds is None:  # else the uniform factor becomes Y
-        _, fs, Fs = _node_sums(gX, gY, n + 1)
-        assert np.array_equal(Fs, _eval_outer(cdf_X, xs, gY.xs, wf, window))
-        assert np.array_equal(fs, _eval_outer(pdf_X, xs, gY.xs, wf))
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,16 +334,20 @@ def _tilted_covariances(gX, gY, xs):
 _Y_KINDS = ("sinh_grid", "gaussian", "logistic", "laplace", "mixture")
 
 
+def _y_factor(kind, n, c, s):
+    """A Y of the criterion: one of ``_Y_KINDS`` at location c and scale s."""
+    if kind == "sinh_grid":
+        return _sinh_y(n, c, s)
+    if kind == "mixture":
+        return materialize(mixture_spec(0.8 * s, sd=s, shift=c), n_points=n)
+    return materialize(getattr(DistributionSpec, kind)(c, s), n_points=n)
+
+
 @settings(max_examples=30, deadline=None)
 @given(gX=_x_factors(), y_kind=st.sampled_from(_Y_KINDS), n=st.sampled_from([256, 1024]),
        c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0))
 def test_four_sum_covariances_match_tilted_measures(gX, y_kind, n, c, s):
-    if y_kind == "sinh_grid":
-        gY = _sinh_y(n, c, s)
-    elif y_kind == "mixture":
-        gY = materialize(mixture_spec(0.8 * s, sd=s, shift=c), n_points=n)
-    else:
-        gY = materialize(getattr(DistributionSpec, y_kind)(c, s), n_points=n)
+    gY = _y_factor(y_kind, n, c, s)
     xs = gX.quantile(np.linspace(0.02, 0.98, 17)) + gY.median()
     xs = np.concatenate([xs, [gX.xs[0] + gY.xs[0] - 1.0]])  # one anchor without mass
     report = covariance_criterion(gX, gY, xs=xs)
@@ -350,6 +356,25 @@ def test_four_sum_covariances_match_tilted_measures(gX, y_kind, n, c, s):
     # near-zero covariances are cancellation-limited in either form, hence the floor
     for got, want in ((report.cov_lower, want_lo[usable]), (report.cov_upper, want_up[usable])):
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1e-3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(gX=_x_factors(), y_kind=st.sampled_from(_Y_KINDS), n=st.sampled_from([256, 1024]),
+       c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0))
+def test_criterion_does_not_depend_on_anchor_order(gX, y_kind, n, c, s):
+    # X's CDF band comes from each block's least and greatest anchor, so
+    # reversed anchors, some beyond both ends of X + Y's grid, give the
+    # reversed covariances bit for bit
+    gY = _y_factor(y_kind, n, c, s)
+    lo, hi = gX.xs[0] + gY.xs[0], gX.xs[-1] + gY.xs[-1]
+    xs = np.concatenate([[lo - 1.0, lo - 1e-3],
+                         gX.quantile(np.linspace(0.02, 0.98, 41)) + gY.median(),
+                         [hi + 1e-3, hi + 1.0]])
+    fwd = covariance_criterion(gX, gY, xs=xs)
+    rev = covariance_criterion(gX, gY, xs=xs[::-1])
+    for attr in ("xs", "cov_lower", "cov_upper"):
+        assert np.array_equal(getattr(rev, attr), getattr(fwd, attr)[::-1]), attr
+    assert rev.skipped == fwd.skipped[::-1]
 
 
 def test_direct_sums_and_criterion_stay_small_in_memory():

@@ -6,8 +6,10 @@ import pytest
 
 from blc_lab import (
     DistributionSpec,
+    DomainError,
     IsoProfile,
     RequiresCertificateError,
+    SpecError,
     Status,
     blc_isoperimetric_constant,
     bobkov_houdre_constant,
@@ -72,6 +74,16 @@ class TestProfiles:
     def test_symmetry_invariant(self, mix134):
         prof = iso_profile(mix134, PS99)
         assert np.abs(prof.values - prof.values[::-1]).max() <= 1e-9
+
+    def test_nan_profile_entries_rejected(self, gauss):
+        # NaN in ps or in the values used to pass every range check, and
+        # iso_profile returned a NaN value
+        for ps, values in (([0.2, math.nan], [0.3, 0.3]), ([math.nan, 0.2], [0.3, 0.3]),
+                           ([0.2, 0.4], [0.3, math.nan])):
+            with pytest.raises(ValueError, match="strictly inside|>= 0"):
+                IsoProfile(ps=ps, values=values, kind="full_1d")
+        with pytest.raises(DomainError, match="quantile domain"):
+            iso_profile(gauss, [0.2, math.nan])
 
     def test_csv_export(self, tmp_path, gauss):
         path = tmp_path / "profile.csv"
@@ -226,6 +238,11 @@ class TestConcentration:
     def test_requires_positive_radii(self, gauss):
         with pytest.raises(ValueError):
             concentration_check(gauss, [0.0, 1.0])
+
+    def test_nan_radius_rejected(self, gauss):
+        # a NaN radius used to give all_within = False, a false refutation
+        with pytest.raises(SpecError, match="radii must be > 0"):
+            concentration_check(gauss, [1.0, math.nan])
 
     def test_requires_certificate(self, mix30):
         with pytest.raises(RequiresCertificateError):
