@@ -32,6 +32,10 @@ import numpy as np
 from .core import MASS_TOL, DomainError, GridDensity, SpecError
 
 
+# condition id of a bi-log-concavity certificate
+_BLC_CONDITION = "blc:derivative_sandwich"
+
+
 class Status(str, enum.Enum):
     CERTIFIED = "Certified"
     VIOLATED = "Violated"
@@ -134,17 +138,44 @@ def check_derivative_sandwich(g: GridDensity,
     midpoint.  The margins are dimensionless, which makes the slack
     affine-invariant, and no density derivative is evaluated.  A node
     density at most MASS_TOL times the maximum breaks strict positivity and
-    forces a violation outright.
+    forces a violation outright.  This is the one-grid case of
+    :func:`_sandwich_rows`.
     """
     sl = g.j_range
-    xs, fs, Fs = g.xs[sl], g.fs[sl], g.Fs[sl]
-    dead = fs <= MASS_TOL * g.fs.max()
-    if np.any(dead):
-        witness = float(xs[int(np.argmax(dead))])
-        return Certificate(Status.VIOLATED, -1.0, "derivative_sandwich",
-                           opts.tolerance, witness_x=witness)
-    margins = np.minimum(np.diff(Fs / fs), -np.diff((1.0 - Fs) / fs)) / np.diff(xs)
-    return _verdict("derivative_sandwich", margins, 0.5 * (xs[:-1] + xs[1:]), opts.tolerance)
+    return _sandwich_rows(g.xs[None], g.fs[None], g.Fs[None], [sl.start], [sl.stop],
+                          opts.tolerance, "derivative_sandwich")[0]
+
+
+def _sandwich_rows(xs: np.ndarray, fs: np.ndarray, Fs: np.ndarray, starts, stops,
+                   tolerance: float, condition_id: str) -> list[Certificate]:
+    """The derivative sandwich of each row of (R, n) node stacks, one verdict per row.
+
+    Row r's J(F) is the node slice ``starts[r]:stops[r]``.  The margins are
+    computed once for the block, on the columns from the least start to the
+    greatest stop (a single grid's J(F) exactly); each row then gets its own
+    dead-node test against its own ``fs.max()`` and :func:`_verdict` on its
+    own cells, so a row's certificate does not depend on the other rows.
+    """
+    lo, hi = min(starts), max(stops)
+    x, f, F = xs[:, lo:hi], fs[:, lo:hi], Fs[:, lo:hi]
+    dead = f <= MASS_TOL * fs.max(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # off a row's J(F)
+        up, down = F / f, (1.0 - F) / f
+        # the differences of F/f and, negated, of (1-F)/f: a - b is -(b - a) exactly
+        margins = np.minimum(up[:, 1:] - up[:, :-1], down[:, :-1] - down[:, 1:])
+        margins /= x[:, 1:] - x[:, :-1]
+    mids = 0.5 * (x[:, :-1] + x[:, 1:])
+    certs = []
+    for r, (a, b) in enumerate(zip(starts, stops)):
+        a, b = a - lo, b - lo
+        if dead[r, a:b].any():
+            witness = float(x[r, a + int(dead[r, a:b].argmax())])
+            certs.append(Certificate(Status.VIOLATED, -1.0, condition_id, tolerance,
+                                     witness_x=witness))
+        else:
+            certs.append(_verdict(condition_id, margins[r, a:b - 1], mids[r, a:b - 1],
+                                  tolerance))
+    return certs
 
 
 def check_envelope(g: GridDensity, anchors: Sequence[float],
@@ -209,8 +240,7 @@ def check_log_concave(g: GridDensity,
 
 def certify_blc(g: GridDensity, opts: CertifyOptions = CertifyOptions()) -> Certificate:
     """Bi-log-concavity, as the derivative sandwich (``blc:derivative_sandwich``)."""
-    cert = check_derivative_sandwich(g, opts)
-    return replace(cert, condition_id=f"blc:{cert.condition_id}")
+    return replace(check_derivative_sandwich(g, opts), condition_id=_BLC_CONDITION)
 
 
 def _require_blc(g: GridDensity, certificate: Optional[Certificate] = None) -> Certificate:

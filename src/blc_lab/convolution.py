@@ -61,6 +61,7 @@ from .core import (
     GridDensity,
     SpecError,
     materialize,
+    _block_rows,
     _node_values,
     _spacing,
     _write_csv,
@@ -69,17 +70,8 @@ from .core import (
 # certification of quadrature-produced densities tolerates the quadrature
 # noise floor; measured worst case is ~1e-7 on equality-tail families
 CONV_CERTIFY_TOL = 1e-5
-# cells (rows x n_Y) of one block of a direct sum or of the covariance
-# criterion: at most 64 KB per (rows, n_Y) array, whatever n and n_Y
-_BLOCK_CELLS = 8192
 # odd parts 3^b 5^c of the FFT lengths 2^a 3^b 5^c, which numpy transforms fast
 _ODD_SMOOTH = [3**b * 5**c for b in range(12) for c in range(8)]
-
-
-def _block_rows(n_y: int) -> int:
-    """Rows per block of an O(rows * n_Y) sum: the largest power of two with
-    rows * n_Y <= ``_BLOCK_CELLS`` (at least 1)."""
-    return 1 << max(0, (_BLOCK_CELLS // n_y).bit_length() - 1)
 
 
 def _x_blocks(gX: GridDensity, xs: np.ndarray, ys: np.ndarray, pdf: bool = True):

@@ -30,8 +30,19 @@ DEFAULT_COVERAGE = 1.0 - 1e-9
 _TAIL = 0.5 * (1.0 - DEFAULT_COVERAGE)  # mass left out on each side of a window
 _XTOL, _RTOL = 1e-13, 8.9e-16  # absolute and relative tolerance of a mixture quantile
 _MAXITER = 100
+# cells (rows x columns) of one block of a row-blocked computation: a direct
+# convolution sum or the covariance criterion (rows of anchors against Y's
+# nodes), or a direction scan (rows of lines against their nodes); at most
+# 64 KB per (rows, columns) array, whatever the sizes
+_BLOCK_CELLS = 8192
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+def _block_rows(n_columns: int) -> int:
+    """Rows per block of an O(rows * columns) computation: the largest power of
+    two with rows * n_columns <= ``_BLOCK_CELLS`` (at least 1)."""
+    return 1 << max(0, (_BLOCK_CELLS // n_columns).bit_length() - 1)
 
 
 class SpecError(ValueError):
@@ -408,8 +419,9 @@ class GridDensity:
     values at the nodes.  ``j_range`` is derived from ``Fs``: it is the grid's
     J(F), the slice of nodes whose CDF clears the boundary trim, lying in
     [BOUNDARY_TRIM * MASS_TOL, 1 - BOUNDARY_TRIM * MASS_TOL]; every shape
-    check reads that range, and an empty one is refused here.  ``total_mass``
-    defaults to the :meth:`quadrature_mass` of the tabulated density.
+    check reads that range, and one of fewer than two nodes is refused here.
+    ``total_mass`` defaults to the :meth:`quadrature_mass` of the tabulated
+    density.  The checks are :func:`_check_grids` on this one grid.
     """
 
     xs: np.ndarray
@@ -426,27 +438,12 @@ class GridDensity:
     # density is discontinuous, which convolution must treat in closed form
 
     def __post_init__(self):
-        xs, fs, Fs = self.xs, self.fs, self.Fs
-        if not (len(xs) == len(fs) == len(Fs)):
+        if not (len(self.xs) == len(self.fs) == len(self.Fs)):
             raise SpecError("invalid spec: xs/fs/Fs lengths differ")
-        if np.any(np.diff(xs) <= 0):
-            raise SpecError("invalid spec: abscissas must be strictly increasing")
-        if np.any(fs < 0):
-            raise SpecError("invalid spec: density values must be >= 0")
-        if np.any(np.diff(Fs) < -1e-12):
-            raise SpecError("invalid spec: CDF values must be nondecreasing")
-        trim = BOUNDARY_TRIM * MASS_TOL
-        inside = np.nonzero((Fs >= trim) & (Fs <= 1.0 - trim))[0]
-        if len(inside) == 0:
-            raise DegenerateDensityError("degenerate density: J(F) empty")
-        object.__setattr__(self, "j_range", slice(int(inside[0]), int(inside[-1]) + 1))
         if self.total_mass is None:
             object.__setattr__(self, "total_mass", self.quadrature_mass())
-        if abs(self.total_mass - 1.0) > MASS_TOL:
-            raise DegenerateDensityError(
-                f"degenerate density: total mass misses 1 by {self.total_mass - 1.0:+.3g} "
-                f"(tolerance {MASS_TOL:g})"
-            )
+        start, stop = _check_grids(self.xs, self.fs, self.Fs, self.total_mass)
+        object.__setattr__(self, "j_range", slice(int(start), int(stop)))
 
     # -- basic queries ------------------------------------------------------
 
@@ -523,6 +520,41 @@ class GridDensity:
         _write_csv(path, ("x", "f", "F"), zip(self.xs, self.fs, self.Fs))
 
 
+def _check_grids(xs: np.ndarray, fs: np.ndarray, Fs: np.ndarray, total_mass):
+    """Validate grids stacked along the leading axes, nodes on the last one.
+
+    Refuses, in this order and for any grid of the stack: abscissas not
+    strictly increasing, a negative density value, a CDF step below -1e-12,
+    a J(F) (the nodes whose CDF lies in [BOUNDARY_TRIM * MASS_TOL,
+    1 - BOUNDARY_TRIM * MASS_TOL]) of fewer than two nodes, and a
+    ``total_mass`` (one per grid, or one for all) missing 1 by more than
+    MASS_TOL.  Every test is stated as what must hold, so a NaN fails it.
+    Returns the start and stop arrays of each grid's J(F) slice.
+    """
+    if not (xs[..., 1:] > xs[..., :-1]).all():
+        raise SpecError("invalid spec: abscissas must be strictly increasing")
+    if not (fs >= 0).all():
+        raise SpecError("invalid spec: density values must be >= 0")
+    if not (Fs[..., 1:] - Fs[..., :-1] >= -1e-12).all():
+        raise SpecError("invalid spec: CDF values must be nondecreasing")
+    trim = BOUNDARY_TRIM * MASS_TOL
+    inside = (Fs >= trim) & (Fs <= 1.0 - trim)
+    if not inside.any(axis=-1).all():
+        raise DegenerateDensityError("degenerate density: J(F) empty")
+    start = inside.argmax(axis=-1)
+    stop = inside.shape[-1] - inside[..., ::-1].argmax(axis=-1)
+    if not (stop - start >= 2).all():
+        raise DegenerateDensityError("degenerate density: J(F) has a single node")
+    miss = np.asarray(total_mass, dtype=float) - 1.0
+    bad = ~(np.abs(miss) <= MASS_TOL)
+    if bad.any():
+        raise DegenerateDensityError(
+            f"degenerate density: total mass misses 1 by {miss.flat[bad.argmax()]:+.3g} "
+            f"(tolerance {MASS_TOL:g})"
+        )
+    return start, stop
+
+
 def _node_values(g: GridDensity, test_fn) -> np.ndarray:
     """A test function's values at the nodes of ``g``, all finite.
 
@@ -576,29 +608,39 @@ def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:
     return _tabulate(fam, n_points, spec.label())
 
 
-def _tabulate(fam: _Family, n_points: int, label: str) -> GridDensity:
-    """An analytic family on ``n_points`` nodes over its window, renormalized.
+def _tabulate_rows(windows, n_points: int, pdf_cdf: Callable):
+    """Analytic densities on ``n_points`` nodes over their windows, renormalized.
 
-    The anchor falls on an even node index, so kinks never sit inside a
-    parabolic pair.
+    ``windows`` is (left, anchor, right), three arrays of shape (R,); row r
+    gets evenly spaced nodes with its anchor on an even node index, so kinks
+    never sit inside a parabolic pair.  ``pdf_cdf`` maps the (R, n) nodes to
+    the unnormalized pdf and CDF there, row r being density r.  Returns the
+    nodes, the pdf and the CDF divided by each row's window mass Z, the CDF
+    counted from the first node, and each row's first CDF value and Z.
     """
-    left, anchor, right = fam.window
+    left, anchor, right = np.asarray(windows, dtype=float)[..., None]
     i0 = n_points // 2
     if i0 % 2 == 1:
         i0 -= 1
-    h = max((anchor - left) / i0, (right - anchor) / (n_points - 1 - i0))
+    h = np.maximum((anchor - left) / i0, (right - anchor) / (n_points - 1 - i0))
     xs = anchor + (np.arange(n_points) - i0) * h
 
-    F_raw = np.asarray(fam.cdf(xs), dtype=float)
-    Z = F_raw[-1] - F_raw[0]
-    if Z <= 0.0:
+    f_raw, F_raw = (np.asarray(v, dtype=float) for v in pdf_cdf(xs))
+    F0 = F_raw[:, :1]
+    Z = F_raw[:, -1:] - F0
+    if not (Z > 0.0).all():
         raise DegenerateDensityError("degenerate density: window carries no mass")
-    fs = np.asarray(fam.pdf(xs), dtype=float) / Z
-    Fs = np.clip((F_raw - F_raw[0]) / Z, 0.0, 1.0)
+    return xs, f_raw / Z, np.clip((F_raw - F0) / Z, 0.0, 1.0), F0[:, 0], Z[:, 0]
 
+
+def _tabulate(fam: _Family, n_points: int, label: str) -> GridDensity:
+    """An analytic family on ``n_points`` nodes over its window: the one-row
+    case of :func:`_tabulate_rows`."""
+    (xs,), (fs,), (Fs,), (F0,), (Z,) = _tabulate_rows(
+        [[v] for v in fam.window], n_points, lambda x: (fam.pdf(x), fam.cdf(x)))
     return GridDensity(
         xs=xs, fs=fs, Fs=Fs, total_mass=1.0, label=label,
         pdf_fn=lambda x: fam.pdf(x) / Z,
-        cdf_fn=lambda x: np.clip((fam.cdf(x) - F_raw[0]) / Z, 0.0, 1.0),
+        cdf_fn=lambda x: np.clip((fam.cdf(x) - F0) / Z, 0.0, 1.0),
         dpdf_fn=lambda x: fam.dpdf(x) / Z, kink_x=fam.kink,
     )

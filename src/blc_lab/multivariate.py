@@ -5,8 +5,11 @@ a line through the origin is a one-dimensional Gaussian mixture in closed
 form: direction u turns component (w, mu, Sigma) into (w, mu . u, u^T Sigma u).
 That reduction carries the whole one-dimensional machinery — certification,
 half-space profiles, convolution — to R^d through deterministic direction
-scans on the half-sphere: certification checks one tabulated grid per line,
-while the half-space profile solves every line's quantiles in closed form.
+scans on the half-sphere: certification tabulates and checks the lines in
+row blocks of at most 8192 cells (``core._BLOCK_CELLS``), each line's
+certificate equal bit for bit to that of its own :func:`project_to_line`
+grid, while the half-space profile solves every line's quantiles in closed
+form.
 Antipodal directions are redundant: -u projects to the law of -Y.u, and BLC
 and the half-space profile are invariant under that reflection; parallel
 lines only translate the projected law.
@@ -16,15 +19,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
-from .certify import (Certificate, CertifyOptions, Status, certify_blc,
+from .certify import (_BLC_CONDITION, Certificate, CertifyOptions, Status, _sandwich_rows,
                       combined_status)
-from .core import (_TERMS, DomainError, GridDensity, SpecError, _json_numbers, _mixture_family,
-                   _mixture_quantile, _mixture_sum, _mixture_windows, _read_json, _tabulate,
-                   _write_csv)
+from .core import (_TERMS, DomainError, GridDensity, SpecError, _block_rows, _check_grids,
+                   _json_numbers, _mixture_family, _mixture_quantile, _mixture_sum,
+                   _mixture_windows, _read_json, _tabulate, _tabulate_rows, _write_csv)
 from .isoperimetry import IsoProfile, weak_blc_ratio_check
 
 EIGENVALUE_FLOOR = 1e-10
@@ -142,22 +146,15 @@ def project_to_line(m: SymmetricMixtureNd, u: Sequence[float],
         raise SpecError(f"invalid spec: direction must have {m.dimension} coordinates")
     if np.linalg.norm(u) == 0.0:
         raise SpecError("invalid spec: direction must be a nonzero vector")
-    return next(_line_grids(m, u[None], n_grid))
+    _require_grid_size(n_grid)
+    (mu,), (sd,) = _projected_components(m, u[None])
+    return _tabulate(_mixture_family(m.weights, mu, sd), n_grid,
+                     f"gaussian_mixture(k={m.n_components})")
 
 
-def _line_grids(m: SymmetricMixtureNd, U: np.ndarray, n_grid: int) -> Iterator[GridDensity]:
-    """Projected laws of m along the rows of U, one grid alive at a time.
-
-    Every window comes from one solver call, and each projected mean and
-    variance sums over coordinates in a fixed order, so a row's grid does not
-    depend on the other rows.
-    """
+def _require_grid_size(n_grid: int):
     if n_grid < 64:
         raise SpecError("invalid spec: n_points must be >= 64")
-    means, sds = _projected_components(m, U)
-    label = f"gaussian_mixture(k={m.n_components})"
-    for mu, sd, *window in zip(means, sds, *_mixture_windows(m.weights, means, sds)):
-        yield _tabulate(_mixture_family(m.weights, mu, sd, window), n_grid, label)
 
 
 def _projected_components(m: SymmetricMixtureNd, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,6 +166,24 @@ def _projected_components(m: SymmetricMixtureNd, U: np.ndarray) -> tuple[np.ndar
     if not (np.isfinite(means).all() and np.isfinite(sds).all()):
         raise SpecError("invalid spec: gaussian_mixture parameters must be finite")
     return means, sds
+
+
+def _line_pdf_cdf(w: np.ndarray, means: np.ndarray, sds: np.ndarray,
+                  xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pdf and CDF at the (R, n) nodes ``xs`` of the mixtures with (R, k)
+    component ``means`` and ``sds``, row r on row r.
+
+    One component at a time, so no array outgrows ``xs``; pdf and CDF share
+    its z, and the terms are added in component order from +0.0 as
+    :func:`_mixture_sum` adds them, so each row equals the mixture's own pdf
+    and CDF bit for bit.
+    """
+    f, F = np.zeros(xs.shape), np.zeros(xs.shape)
+    for wj, mu, sd in zip(w, means.T[..., None], sds.T[..., None]):
+        z = (xs - mu) / sd
+        f += _TERMS["pdf"](wj, z, sd)
+        F += _TERMS["cdf"](wj, z, sd)
+    return f, F
 
 
 def _scan_directions(m: SymmetricMixtureNd, n_directions: int) -> np.ndarray:
@@ -223,11 +238,28 @@ def weak_star_check(
 ) -> DirectionScan:
     """Certify bi-log-concavity of every scanned line projection.
 
-    The verdict aggregates the per-direction certificates (any violation
-    wins, then any inconclusive); ``worst_direction`` minimizes the slack.
+    The lines are tabulated and certified in blocks of ``_block_rows(n_grid)``
+    rows (rows * n_grid <= 8192 cells, 64 KB per array): per block, each
+    mixture component is evaluated once on the (rows, n_grid) nodes, pdf and
+    CDF from one z, and the grid checks and derivative-sandwich margins run
+    along the last axis with every row's own J(F).  No row depends on the
+    others, so each certificate equals ``certify_blc(project_to_line(m, u,
+    n_grid), opts)`` bit for bit.  The verdict aggregates the per-direction
+    certificates (any violation wins, then any inconclusive);
+    ``worst_direction`` minimizes the slack.
     """
     dirs = _scan_directions(m, n_directions)
-    certs = [certify_blc(g, opts) for g in _line_grids(m, dirs, n_grid)]
+    _require_grid_size(n_grid)
+    means, sds = _projected_components(m, dirs)
+    windows = np.array(_mixture_windows(m.weights, means, sds))
+    rows, certs = _block_rows(n_grid), []
+    for lo in range(0, len(dirs), rows):
+        block = slice(lo, lo + rows)
+        xs, fs, Fs, _, _ = _tabulate_rows(
+            windows[:, block], n_grid,
+            partial(_line_pdf_cdf, m.weights, means[block], sds[block]))
+        starts, stops = _check_grids(xs, fs, Fs, 1.0)
+        certs += _sandwich_rows(xs, fs, Fs, starts, stops, opts.tolerance, _BLC_CONDITION)
     worst = dirs[int(np.argmin([c.slack for c in certs]))]
     return DirectionScan(directions=dirs, certificates=tuple(certs),
                          worst_direction=worst, verdict=combined_status(certs))

@@ -32,6 +32,8 @@ def specs(tmp_path):
             },
         },
         "bad": {"family": "gaussian", "params": {"mean": 0, "sd": -2}},
+        "one_node": {"family": "grid", "params": {
+            "abscissas": list(range(9)), "density_values": [0, 0, 0, 0, 1, 0, 0, 0, 0]}},
         "inf_density": {"family": "grid", "params": {
             "abscissas": list(range(10)), "density_values": [1, 1, 1, math.inf] + [1] * 6}},
         "nan_abscissa": {"family": "grid", "params": {
@@ -135,6 +137,15 @@ class TestCertifyCommand:
         code = main(["certify", "--spec", specs[name], "-o", str(tmp_path / "o")])
         assert code == 3
         assert "must be numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "iso"])
+    def test_single_node_j_range_is_degenerate(self, specs, tmp_path, capsys, command):
+        # a runtime failure named as such, not numpy's empty-argmin error
+        code = main([command, "--spec", specs["one_node"], "-o", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "degenerate density: J(F) has a single node" in err
+        assert "argmin" not in err
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["certify", "--spec", str(tmp_path / "none.json"),

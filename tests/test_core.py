@@ -145,6 +145,33 @@ class TestMaterialize:
         with pytest.raises(DegenerateDensityError, match="total mass"):
             GridDensity(xs=xs, fs=3.0 * g.fs, Fs=g.Fs)
 
+    @pytest.mark.parametrize("array,message", [
+        ("xs", "strictly increasing"), ("fs", "density values must be >= 0"),
+        ("Fs", "CDF values must be nondecreasing")])
+    @pytest.mark.parametrize("total_mass", [None, 1.0])
+    def test_grid_density_refuses_nan(self, array, message, total_mass):
+        # every check states what must hold, so a NaN fails it, whether the
+        # mass is given or taken from the quadrature
+        xs = np.linspace(-6.0, 6.0, 101)
+        arrays = {"xs": xs, "fs": np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi),
+                  "Fs": ndtr(xs)}
+        arrays[array] = arrays[array].copy()
+        arrays[array][50] = math.nan
+        with pytest.raises(SpecError, match=message):
+            GridDensity(**arrays, total_mass=total_mass)
+
+    def test_grid_density_refuses_nan_mass(self):
+        xs = np.linspace(-6.0, 6.0, 101)
+        with pytest.raises(DegenerateDensityError, match="total mass misses 1 by"):
+            GridDensity(xs=xs, fs=np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi),
+                        Fs=ndtr(xs), total_mass=math.nan)
+
+    def test_single_node_j_range_refused(self):
+        # abscissas 0..8 with all mass on node 4: only F(4) = 1/2 lies in J(F)
+        spec = DistributionSpec.grid(np.arange(9.0), [0, 0, 0, 0, 1, 0, 0, 0, 0])
+        with pytest.raises(DegenerateDensityError, match=r"J\(F\) has a single node"):
+            materialize(spec)
+
     def test_mixture_anchor_is_median_solved_from_mean(self):
         # a mirrored mixture has its center on a node
         assert 0.0 in materialize(MIX_134).xs

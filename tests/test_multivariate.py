@@ -1,5 +1,6 @@
 """Line projections, direction scans, half-space profiles, and R^d convolution."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from blc_lab import (
     weak_blc_check_nd,
     weak_star_check,
 )
+from blc_lab.core import _block_rows
 
 SQ2PI = math.sqrt(2 * math.pi)
 PS = np.linspace(0.02, 0.98, 49)
@@ -45,9 +47,9 @@ def axis_mixture_2d(a, sd=1.0):
 
 
 @st.composite
-def _mixtures(draw, dimension=2, k_min=1):
-    """A Gaussian mixture on R^dimension of k_min to 3 components, mirrored or not."""
-    k = draw(st.integers(k_min, 3))
+def _mixtures(draw, dimension=2, k_min=1, k_max=3):
+    """A Gaussian mixture on R^dimension of k_min to k_max components, mirrored or not."""
+    k = draw(st.integers(k_min, k_max))
     raw = [draw(st.floats(0.2, 1.0)) for _ in range(k)]
     w = [r / sum(raw) for r in raw[:-1]]
     means = [[draw(st.floats(-3.0, 3.0)) for _ in range(dimension)] for _ in range(k)]
@@ -267,6 +269,43 @@ class TestWeakStarScan:
                 (ref.slack, ref.status, ref.witness_x)
         assert np.array_equal(scan.worst_direction,
                               scan.directions[np.argmin(scan.slacks())])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dimension=st.integers(2, 4),
+           n_grid=st.sampled_from([64, 100, 512, 1000, 2048]))
+    def test_blocked_scan_equals_per_line_certification(self, data, dimension, n_grid):
+        # the lines run in blocks of _block_rows(n_grid) rows (128, 64, 16, 8
+        # and 4 here); the direction count leaves a partial last block
+        m = data.draw(_mixtures(dimension=dimension, k_max=4))
+        rows = _block_rows(n_grid)
+        n_dir = data.draw(st.integers(2 * dimension, 40).filter(lambda n: n % rows))
+        scan = weak_star_check(m, n_dir, n_grid=n_grid)
+        assert len(scan.certificates) == len(scan.directions) == n_dir
+        for u, cert in zip(scan.directions, scan.certificates):
+            # the JSON form writes floats exactly, NaN and -0.0 included
+            assert cert.to_json() == certify_blc(project_to_line(m, u, n_grid)).to_json()
+
+    @pytest.mark.parametrize("n_grid", [0, 63])
+    def test_minimum_grid_size(self, mix2d_134, n_grid):
+        with pytest.raises(SpecError, match="n_points must be >= 64"):
+            weak_star_check(mix2d_134, 16, n_grid=n_grid)
+        with pytest.raises(SpecError, match="n_points must be >= 64"):
+            project_to_line(mix2d_134, [1.0, 0.0], n_grid=n_grid)
+
+    def test_scan_stays_small_in_memory(self):
+        # 64 lines of 2048 nodes in blocks of 4 rows: no array holds every
+        # line at once (one (64, 2048) array alone takes 1 MiB)
+        m = SymmetricMixtureNd(3, np.full(4, 0.25),
+                               np.array([[1.5, 0, 0], [-1.5, 0, 0], [0, 1, 0.5], [0, -1, -0.5]]),
+                               np.array([np.eye(3)] * 4))
+        weak_star_check(m, 8, n_grid=256)  # warm caches outside the traced call
+        tracemalloc.start()
+        try:
+            weak_star_check(m, 64, n_grid=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_planar_resolution(self, gauss2d, n):
