@@ -224,12 +224,13 @@ def check_log_concave(g: GridDensity,
 
     The slack is the most positive curvature estimate, negated, in units of
     (log f)''; nonpositive density nodes make the question ill-posed and the
-    verdict Inconclusive.
+    verdict Inconclusive, with the first of them as witness, and so does a
+    J(F) of two nodes, which has no second difference.
     """
     xs, fs = g.xs[g.j_range], g.fs[g.j_range]
     bad = fs <= 0.0
-    if np.any(bad):
-        witness = float(xs[int(np.argmax(bad))])
+    if bad.any() or len(xs) < 3:
+        witness = float(xs[int(np.argmax(bad))]) if bad.any() else None
         return Certificate(Status.INCONCLUSIVE, -math.inf, "log_concavity",
                            opts.tolerance, witness_x=witness)
     lf = np.log(fs)

@@ -10,7 +10,9 @@ whose CDF clears a boundary trim of ``BOUNDARY_TRIM * MASS_TOL``, on which
 every shape check runs.  Analytic families keep their closed-form pdf and
 CDF attached, so that convolution sums evaluate a factor exactly off its
 nodes.  The density derivative is read at the nodes only: in closed form
-for an analytic family, else from finite differences.
+for an analytic family, else from finite differences.  Every sum over a
+Gaussian mixture's components (pdf, CDF or survival function, f')
+comes from one kernel, :func:`_mixture_sums`, one component at a time.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +32,7 @@ DEFAULT_COVERAGE = 1.0 - 1e-9
 _TAIL = 0.5 * (1.0 - DEFAULT_COVERAGE)  # mass left out on each side of a window
 _XTOL, _RTOL = 1e-13, 8.9e-16  # absolute and relative tolerance of a mixture quantile
 _MAXITER = 100
+_NEWTON_STEPS = 20  # a mixture quantile not final after this many steps bisects
 # cells (rows x columns) of one block of a row-blocked computation: a direct
 # convolution sum or the covariance criterion (rows of anchors against Y's
 # nodes), or a direction scan (rows of lines against their nodes); at most
@@ -243,29 +246,33 @@ def _laplace_family(loc, scale):
     return _Family(pdf, cdf, dpdf, (ppf(_TAIL), loc, ppf(1.0 - _TAIL)), kink=loc)
 
 
-# weighted component terms of a mixture's pdf, cdf, dpdf (as in _Family) at z = (x - mu) / sd
+# weighted component terms of a mixture's pdf, cdf, dpdf (as in _Family) at
+# z = (x - mu) / sd; at sign -1 the cdf term is the survival function's
 _TERMS = {
-    "pdf": lambda w, z, sd: w * np.exp(-0.5 * z * z) / (sd * _SQRT2PI),
-    "cdf": lambda w, z, sd: w * ndtr(z),
-    "dpdf": lambda w, z, sd: _TERMS["pdf"](w, z, sd) * (-z / sd),
+    "pdf": lambda w, z, sd, sign: w * np.exp(-0.5 * z * z) / (sd * _SQRT2PI),
+    "cdf": lambda w, z, sd, sign: w * ndtr(sign * z),
+    "dpdf": lambda w, z, sd, sign: _TERMS["pdf"](w, z, sd, sign) * (-z / sd),
 }
 
 
-def _mixture_sum(terms, w, mu, sd, x):
-    """Sum of ``terms(w, z, sd)`` over the components of Gaussian mixtures at x.
+def _mixture_sums(terms, w, mu, sd, x, sign=1.0):
+    """Sums over the components of Gaussian mixtures at x, one per ``_TERMS`` name.
 
-    ``w``, ``mu`` and ``sd`` hold the component axis first, reshaped to
-    (k, 1, ..., 1) if they carry nothing more, so elementwise passes run over
-    x, not over k components.  The sum has x's shape and adds the terms in
-    component order from +0.0, as numpy sums fewer than 8 on a trailing axis.
+    ``w`` has shape (k,); ``mu`` and ``sd`` have shape (k,) for one mixture,
+    or (k, R, 1) for a stack of R mixtures, mixture r on row r of an (R, n)
+    x.  The components are walked once, one at a time, and each
+    z = (x - mu_j) / sd_j is formed once for all the terms, so no temporary
+    outgrows x.  Each sum has x's shape and adds its terms in component
+    order from +0.0; ``sign`` (+1 or -1, a scalar or x's shape) turns the
+    cdf sum into the survival function where it is -1.
     """
     x = np.asarray(x, float)
-    w, mu, sd = (a.reshape(a.shape + (1,) * (x.ndim + 1 - a.ndim)) for a in (w, mu, sd))
-    values = terms(w, (x - mu) / sd, sd)  # z is freed before the sum is allocated
-    total = np.zeros(values.shape[1:])
-    for term in values:
-        total += term
-    return total[()]
+    sums = tuple(np.zeros(x.shape) for _ in terms)
+    for wj, mj, sj in zip(w, mu, sd):
+        z = (x - mj) / sj
+        for total, term in zip(sums, terms):
+            total += _TERMS[term](wj, z, sj, sign)
+    return tuple(total[()] for total in sums)
 
 
 def _mixture_family(weights, means, sds, window=None):
@@ -273,7 +280,8 @@ def _mixture_family(weights, means, sds, window=None):
     w, mu, sd = (np.asarray(a, float) for a in (weights, means, sds))
     if window is None:
         window = tuple(float(v[0]) for v in _mixture_windows(w, mu[None], sd[None]))
-    return _Family(*(partial(_mixture_sum, _TERMS[f], w, mu, sd) for f in _TERMS), window)
+    return _Family(*(lambda x, t=t: _mixture_sums((t,), w, mu, sd, x)[0] for t in _TERMS),
+                   window)
 
 
 def _mixture_windows(w, mu, sd):
@@ -294,15 +302,17 @@ def _mixture_quantile(p, w, mu, sd):
     ``mu + sd * ndtri(p)`` and found by Newton steps on the log of the
     closed-form CDF, or of the survival function when p > 1/2 (on ``F - p``
     the root interval near p = 1 is some 1e-8 wide); a step that leaves the
-    bracket becomes a bisection.  A median starts from the mixture mean, so a
-    mixture whose F rounds to 1/2 on a whole interval is anchored at its
-    mean when that lies inside.  A root is final once a step moves it by at
-    most ``_XTOL`` (plus ``_RTOL`` relative), so it does not depend on the
-    rest of the stack.  Raises ``RuntimeError`` after ``_MAXITER`` steps.
+    bracket becomes a bisection, and so does every step after the first
+    ``_NEWTON_STEPS``, so Newton steps that cycle cannot stall.  A median
+    starts from the mixture mean, so a mixture whose F rounds to 1/2 on a
+    whole interval is anchored at its mean when that lies inside.  A root is
+    final once a step moves it by at most ``_XTOL`` (plus ``_RTOL``
+    relative), so it does not depend on the rest of the stack.  Raises
+    ``RuntimeError`` after ``_MAXITER`` steps.
     """
     p = np.asarray(p, float)
     P, w = p.reshape(len(mu), -1), np.asarray(w, float)
-    # component axis first: (k, D, 1) against the (D, m) stack of roots
+    # the kernel's stack form: (k, D, 1) components against the (D, m) roots
     mu, sd = np.asarray(mu, float).T[..., None], np.asarray(sd, float).T[..., None]
     sign, target = np.where(P > 0.5, -1.0, 1.0), np.where(P > 0.5, 1.0 - P, P)
     comp = mu + sd * ndtri(P)
@@ -314,14 +324,15 @@ def _mixture_quantile(p, w, mu, sd):
         x = np.where(sign > 0, own.min(axis=0), own.max(axis=0))
         x = np.clip(np.where(P == 0.5, (w[:, None, None] * mu).sum(axis=0), x), lo, hi)
         done = hi - lo <= 2.0 * (_XTOL + _RTOL * np.abs(x))
-        for _ in range(_MAXITER):
+        for it in range(_MAXITER):
             if done.all():
                 return x.reshape(p.shape)
-            tail = _mixture_sum(lambda w, z, sd: w * ndtr(sign * z), w, mu, sd, x)
+            tail, dens = _mixture_sums(("cdf", "pdf"), w, mu, sd, x, sign)
             g = sign * np.log(tail / target)  # has the sign of F(x) - p
-            step = x - g * tail / _mixture_sum(_TERMS["pdf"], w, mu, sd, x)
+            step = x - g * tail / dens
             lo, hi = np.where(g < 0, x, lo), np.where(g > 0, x, hi)
-            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            newton = (step >= lo) & (step <= hi) & (it < _NEWTON_STEPS)
+            step = np.where(newton, step, 0.5 * (lo + hi))
             step = np.where(done, x, step)
             done |= np.abs(step - x) <= _XTOL + _RTOL * np.abs(step)
             x = step
@@ -440,8 +451,9 @@ class GridDensity:
     def __post_init__(self):
         if not (len(self.xs) == len(self.fs) == len(self.Fs)):
             raise SpecError("invalid spec: xs/fs/Fs lengths differ")
-        if self.total_mass is None:
-            object.__setattr__(self, "total_mass", self.quadrature_mass())
+        if self.total_mass is None:  # NaN or inf for non-finite arrays, refused below
+            with np.errstate(invalid="ignore", over="ignore"):
+                object.__setattr__(self, "total_mass", self.quadrature_mass())
         start, stop = _check_grids(self.xs, self.fs, self.Fs, self.total_mass)
         object.__setattr__(self, "j_range", slice(int(start), int(stop)))
 
@@ -524,19 +536,20 @@ def _check_grids(xs: np.ndarray, fs: np.ndarray, Fs: np.ndarray, total_mass):
     """Validate grids stacked along the leading axes, nodes on the last one.
 
     Refuses, in this order and for any grid of the stack: abscissas not
-    strictly increasing, a negative density value, a CDF step below -1e-12,
-    a J(F) (the nodes whose CDF lies in [BOUNDARY_TRIM * MASS_TOL,
+    strictly increasing and finite, a density value not >= 0 and finite,
+    CDF values not nondecreasing (to -1e-12 per step) and finite, a J(F)
+    (the nodes whose CDF lies in [BOUNDARY_TRIM * MASS_TOL,
     1 - BOUNDARY_TRIM * MASS_TOL]) of fewer than two nodes, and a
     ``total_mass`` (one per grid, or one for all) missing 1 by more than
     MASS_TOL.  Every test is stated as what must hold, so a NaN fails it.
     Returns the start and stop arrays of each grid's J(F) slice.
     """
-    if not (xs[..., 1:] > xs[..., :-1]).all():
-        raise SpecError("invalid spec: abscissas must be strictly increasing")
-    if not (fs >= 0).all():
-        raise SpecError("invalid spec: density values must be >= 0")
-    if not (Fs[..., 1:] - Fs[..., :-1] >= -1e-12).all():
-        raise SpecError("invalid spec: CDF values must be nondecreasing")
+    if not ((xs[..., 1:] > xs[..., :-1]).all() and np.isfinite(xs).all()):
+        raise SpecError("invalid spec: abscissas must be strictly increasing and finite")
+    if not ((fs >= 0) & (fs < np.inf)).all():
+        raise SpecError("invalid spec: density values must be >= 0 and finite")
+    if not ((Fs[..., 1:] - Fs[..., :-1] >= -1e-12).all() and np.isfinite(Fs).all()):
+        raise SpecError("invalid spec: CDF values must be nondecreasing and finite")
     trim = BOUNDARY_TRIM * MASS_TOL
     inside = (Fs >= trim) & (Fs <= 1.0 - trim)
     if not inside.any(axis=-1).all():

@@ -9,7 +9,8 @@ scans on the half-sphere: certification tabulates and checks the lines in
 row blocks of at most 8192 cells (``core._BLOCK_CELLS``), each line's
 certificate equal bit for bit to that of its own :func:`project_to_line`
 grid, while the half-space profile solves every line's quantiles in closed
-form.
+form.  Both evaluate the projected mixtures with core's one mixture
+kernel, :func:`core._mixture_sums`, on (k, R, 1) component stacks.
 Antipodal directions are redundant: -u projects to the law of -Y.u, and BLC
 and the half-space profile are invariant under that reflection; parallel
 lines only translate the projected law.
@@ -26,8 +27,8 @@ import numpy as np
 
 from .certify import (_BLC_CONDITION, Certificate, CertifyOptions, Status, _sandwich_rows,
                       combined_status)
-from .core import (_TERMS, DomainError, GridDensity, SpecError, _block_rows, _check_grids,
-                   _json_numbers, _mixture_family, _mixture_quantile, _mixture_sum,
+from .core import (DomainError, GridDensity, SpecError, _block_rows, _check_grids,
+                   _json_numbers, _mixture_family, _mixture_quantile, _mixture_sums,
                    _mixture_windows, _read_json, _tabulate, _tabulate_rows, _write_csv)
 from .isoperimetry import IsoProfile, weak_blc_ratio_check
 
@@ -168,24 +169,6 @@ def _projected_components(m: SymmetricMixtureNd, U: np.ndarray) -> tuple[np.ndar
     return means, sds
 
 
-def _line_pdf_cdf(w: np.ndarray, means: np.ndarray, sds: np.ndarray,
-                  xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pdf and CDF at the (R, n) nodes ``xs`` of the mixtures with (R, k)
-    component ``means`` and ``sds``, row r on row r.
-
-    One component at a time, so no array outgrows ``xs``; pdf and CDF share
-    its z, and the terms are added in component order from +0.0 as
-    :func:`_mixture_sum` adds them, so each row equals the mixture's own pdf
-    and CDF bit for bit.
-    """
-    f, F = np.zeros(xs.shape), np.zeros(xs.shape)
-    for wj, mu, sd in zip(w, means.T[..., None], sds.T[..., None]):
-        z = (xs - mu) / sd
-        f += _TERMS["pdf"](wj, z, sd)
-        F += _TERMS["cdf"](wj, z, sd)
-    return f, F
-
-
 def _scan_directions(m: SymmetricMixtureNd, n_directions: int) -> np.ndarray:
     if n_directions < 2 * m.dimension:
         raise SpecError("n_directions must be at least 2 * dimension")
@@ -239,14 +222,14 @@ def weak_star_check(
     """Certify bi-log-concavity of every scanned line projection.
 
     The lines are tabulated and certified in blocks of ``_block_rows(n_grid)``
-    rows (rows * n_grid <= 8192 cells, 64 KB per array): per block, each
-    mixture component is evaluated once on the (rows, n_grid) nodes, pdf and
-    CDF from one z, and the grid checks and derivative-sandwich margins run
-    along the last axis with every row's own J(F).  No row depends on the
-    others, so each certificate equals ``certify_blc(project_to_line(m, u,
-    n_grid), opts)`` bit for bit.  The verdict aggregates the per-direction
-    certificates (any violation wins, then any inconclusive);
-    ``worst_direction`` minimizes the slack.
+    rows (rows * n_grid <= 8192 cells, 64 KB per array): per block, one call
+    of the mixture kernel evaluates each component once on the (rows,
+    n_grid) nodes, pdf and CDF from one z, and the grid checks and
+    derivative-sandwich margins run along the last axis with every row's own
+    J(F).  No row depends on the others, so each certificate equals
+    ``certify_blc(project_to_line(m, u, n_grid), opts)`` bit for bit.  The
+    verdict aggregates the per-direction certificates (any violation wins,
+    then any inconclusive); ``worst_direction`` minimizes the slack.
     """
     dirs = _scan_directions(m, n_directions)
     _require_grid_size(n_grid)
@@ -257,7 +240,8 @@ def weak_star_check(
         block = slice(lo, lo + rows)
         xs, fs, Fs, _, _ = _tabulate_rows(
             windows[:, block], n_grid,
-            partial(_line_pdf_cdf, m.weights, means[block], sds[block]))
+            partial(_mixture_sums, ("pdf", "cdf"), m.weights,
+                    means[block].T[..., None], sds[block].T[..., None]))
         starts, stops = _check_grids(xs, fs, Fs, 1.0)
         certs += _sandwich_rows(xs, fs, Fs, starts, stops, opts.tolerance, _BLC_CONDITION)
     worst = dirs[int(np.argmin([c.slack for c in certs]))]
@@ -285,7 +269,7 @@ def halfspace_profile_nd(
         means, sds = _projected_components(m, U[lo:lo + 256])
         x = _mixture_quantile(np.tile(np.concatenate([ps, 1.0 - ps]), (len(means), 1)),
                               m.weights, means, sds)
-        fs = _mixture_sum(_TERMS["pdf"], m.weights, means.T[..., None], sds.T[..., None], x)
+        fs, = _mixture_sums(("pdf",), m.weights, means.T[..., None], sds.T[..., None], x)
         values = np.minimum(values, fs.reshape(len(means), 2, len(ps)).min(axis=(0, 1)))
     return IsoProfile(ps=ps, values=values, kind="halfspace_nd")
 

@@ -141,6 +141,15 @@ class TestLogConcavity:
         assert cert.status is Status.INCONCLUSIVE
         assert cert.witness_x is not None
 
+    def test_two_node_j_range_inconclusive(self):
+        # abscissas 0..8 with mass on nodes 3 and 4: J(F) is those two nodes,
+        # which have no three-point second difference
+        g = materialize(DistributionSpec.grid(np.arange(9.0), [0, 0, 0, 1, 1, 0, 0, 0, 0]))
+        assert (g.j_range.start, g.j_range.stop) == (3, 5)
+        cert = check_log_concave(g)
+        assert cert.status is Status.INCONCLUSIVE
+        assert cert.witness_x is None and cert.slack == -math.inf
+
     def test_log_concave_implies_blc(self):
         for spec in (GAUSSIAN, LOGISTIC, LAPLACE, UNIFORM01):
             g = grid_of(spec)

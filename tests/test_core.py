@@ -160,6 +160,24 @@ class TestMaterialize:
         with pytest.raises(SpecError, match=message):
             GridDensity(**arrays, total_mass=total_mass)
 
+    @pytest.mark.parametrize("array,message", [
+        ("xs", "strictly increasing and finite"), ("fs", "density values must be >= 0 and finite"),
+        ("Fs", "CDF values must be nondecreasing and finite")])
+    @pytest.mark.parametrize("total_mass", [None, 1.0])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("node", [50, 100])
+    def test_grid_density_refuses_infinity(self, array, message, total_mass, value, node):
+        # an infinite density value was accepted with a given mass, which
+        # gave a NaN mean and a dead-node violation; an infinite last node
+        # passes the order tests, so finiteness is a test of its own
+        xs = np.linspace(-6.0, 6.0, 101)
+        arrays = {"xs": xs, "fs": np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi),
+                  "Fs": ndtr(xs)}
+        arrays[array] = arrays[array].copy()
+        arrays[array][node] = value
+        with pytest.raises(SpecError, match=message):
+            GridDensity(**arrays, total_mass=total_mass)
+
     def test_grid_density_refuses_nan_mass(self):
         xs = np.linspace(-6.0, 6.0, 101)
         with pytest.raises(DegenerateDensityError, match="total mass misses 1 by"):
@@ -408,6 +426,58 @@ class TestMixtureQuantile:
                 single = _mixture_quantile(ps[d:d + 1, j], w, mu[d:d + 1], sd[d:d + 1])
                 assert single.shape == (1,) and single[0] == stack[d, j]
 
+    def test_cycling_newton_steps_end_in_bisection(self):
+        # Newton steps from the start alternate between about -1.5574 and
+        # 0.6254 inside the bracket; after _NEWTON_STEPS they bisect to the root
+        w = [0.4365139385677624, 0.24541707741987642, 0.3180689840123613]
+        mu = np.array([[-1.892451545662042, 0.6772002568387596, -0.4709680520753886]])
+        sd = np.array([[1.2670728050912725, 1.8964915284144936, 0.3225943559258878]])
+        p = 0.5685714285714285
+        (root,) = _mixture_quantile(np.array([p]), w, mu, sd)
+        assert abs(root - _bisection_quantile(p, w, mu[0], sd[0])) <= 2.0 * core._XTOL
+        assert root == pytest.approx(-0.543139, abs=1e-6)
+
+    def test_roots_final_within_newton_steps_are_unchanged(self, monkeypatch):
+        # a stack whose roots are all final after _NEWTON_STEPS plain Newton
+        # steps gets the same roots, bit for bit, with the bisection rule
+        rng = np.random.default_rng(3)
+        ps = np.array([QUANTILE_PS])
+        mixes = _random_mixtures(rng, 60)
+        want = [_mixture_quantile(ps, w, mu[None], sd[None]) for w, mu, sd in mixes]
+        monkeypatch.setattr(core, "_MAXITER", core._NEWTON_STEPS + 1)
+        monkeypatch.setattr(core, "_NEWTON_STEPS", math.inf)
+        compared = 0
+        for (w, mu, sd), roots in zip(mixes, want):
+            try:
+                newton = _mixture_quantile(ps, w, mu[None], sd[None])
+            except RuntimeError:
+                continue
+            assert newton.tobytes() == roots.tobytes()
+            compared += 1
+        assert compared >= 50
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 5), data=st.data())
+    def test_roots_solve_the_closed_form_cdf(self, k, data):
+        # F - p (S - (1 - p) above 1/2) changes sign within the solver's
+        # tolerance of the root, up to the rounding of F itself; no call raises
+        w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        w /= w.sum()
+        mu, sd = (np.array(data.draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k)))
+                  for lo, hi in ((-5.0, 5.0), (0.05, 5.0)))
+        p = data.draw(st.floats(1e-9, 1.0 - 1e-9))
+        (root,) = _mixture_quantile(np.array([p]), w, mu[None], sd[None])
+        sign, target = (-1.0, 1.0 - p) if p > 0.5 else (1.0, p)
+
+        def tail(x):  # F(x), or S(x) above 1/2
+            return sum(wi * 0.5 * math.erfc(-sign * (x - m) / (s * math.sqrt(2.0)))
+                       for wi, m, s in zip(w, mu, sd))
+
+        delta = 2.0 * (core._XTOL + core._RTOL * abs(root))
+        slack = 1e-14 * target
+        below, above = sorted((tail(root - delta), tail(root + delta)))
+        assert below - slack <= target <= above + slack, (w, mu, sd, p, root)
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(core, "_MAXITER", 1)
         with pytest.raises(RuntimeError, match="no convergence"):
@@ -417,30 +487,44 @@ class TestMixtureQuantile:
 
 @st.composite
 def _mixtures_and_points(draw):
+    # one mixture, (k,) parameters, on points of any shape; or a stack of R
+    # mixtures, (k, R, 1), on (R, n) points, as a direction scan and the
+    # quantile solver call the kernel; with a sign of +-1 per point
     k = draw(st.integers(1, 12))
-    w, mu, sd = (np.array(draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k)))
-                 for lo, hi in ((0.0, 1.0), (-5.0, 5.0), (0.05, 5.0)))
-    shape = draw(st.sampled_from([(), (1,), (7,), (2, 5)]))
-    return w, mu, sd, draw(arrays(np.float64, shape, elements=st.floats(-40.0, 40.0)))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 4))
+        params, shape = (k, rows, 1), (rows, draw(st.integers(1, 6)))
+    else:
+        params, shape = (k,), draw(st.sampled_from([(), (1,), (7,), (2, 5)]))
+    mu, sd = (draw(arrays(np.float64, params, elements=st.floats(lo, hi)))
+              for lo, hi in ((-5.0, 5.0), (0.05, 5.0)))
+    x = draw(arrays(np.float64, shape, elements=st.floats(-40.0, 40.0)))
+    return w, mu, sd, x, draw(arrays(np.float64, shape, elements=st.sampled_from([-1.0, 1.0])))
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_mixtures_and_points())
 def test_mixture_kernel_sums_components_in_order(case):
     # pdf, cdf and f' of a mixture equal the plain per-component sum taken
-    # left to right from +0.0, bit for bit, for every component count
-    w, mu, sd, x = case
+    # left to right from +0.0, bit for bit, for every component count; so do
+    # the joint calls of a tabulated grid (pdf and CDF) and of a solver step
+    # (the CDF, or the survival function where the sign is -1, and the pdf)
+    w, mu, sd, x, sign = case
     fam = core._mixture_family(w, mu, sd, window=(-1.0, 0.0, 1.0))  # window unused
-    want = [0.0, 0.0, 0.0]
+    want = [0.0, 0.0, 0.0, 0.0]
     for wi, mi, si in zip(w, mu, sd):
         z = (x - mi) / si
         dens = wi * np.exp(-0.5 * z * z) / (si * math.sqrt(2.0 * math.pi))
-        for i, term in enumerate((dens, wi * ndtr(z), dens * (-z / si))):
+        for i, term in enumerate((dens, wi * ndtr(z), dens * (-z / si), wi * ndtr(sign * z))):
             want[i] = want[i] + term
-    for fn, ref in zip((fam.pdf, fam.cdf, fam.dpdf), want):
-        got = fn(x)
-        assert np.shape(got) == x.shape
-        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    pdf, cdf, dpdf, tail = want
+    got = [(fam.pdf(x), pdf), (fam.cdf(x), cdf), (fam.dpdf(x), dpdf)]
+    got += zip(core._mixture_sums(("pdf", "cdf"), w, mu, sd, x), (pdf, cdf))
+    got += zip(core._mixture_sums(("cdf", "pdf"), w, mu, sd, x, sign), (tail, pdf))
+    for value, ref in got:
+        assert np.shape(value) == x.shape
+        assert np.asarray(value).tobytes() == np.broadcast_to(ref, x.shape).tobytes()
 
 
 def test_public_names_resolve():

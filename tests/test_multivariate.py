@@ -407,6 +407,21 @@ class TestWeakBlcNd:
         assert cert.status is Status.VIOLATED
         assert 0.0 < cert.witness_x < 1.0
 
+    def test_measure_with_cycling_quantile_steps(self):
+        # on one of its lines the mixture quantile solver's Newton steps
+        # cycle; they end in bisection, and the profile is the closed form's
+        m = SymmetricMixtureNd(
+            2, [0.2, 0.3, 0.11, 0.39],
+            [[-2.376, 0.0468], [-1.920, -1.816], [1.374, -1.025], [-0.107, 0.944]],
+            [[[0.329, 0.113], [0.113, 0.296]], [[1.301, -0.693], [-0.693, 0.488]],
+             [[0.316, 0.707], [0.707, 1.932]], [[0.158, 0.241], [0.241, 0.664]]])
+        ps = np.linspace(0.02, 0.5, 25)
+        cert = weak_blc_check_nd(m, ps, 64)
+        assert cert.status is Status.VIOLATED
+        assert cert.slack == pytest.approx(-0.315, abs=1e-3)
+        target = closed_form_profile(m, ps, 64)
+        assert np.all(np.abs(halfspace_profile_nd(m, ps, 64).values - target) <= 1e-12 * target)
+
     def test_weak_star_implies_weak(self, gauss2d, mix2d_134):
         # every certified scan must also pass the ratio check on the same
         # direction budget
