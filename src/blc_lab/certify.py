@@ -84,7 +84,11 @@ def _verdict(condition_id: str, margins: np.ndarray, witnesses: np.ndarray,
 
     Certified only when the worst margin is at least ``-tolerance``, so a NaN
     margin fails; a certified verdict names a witness only for a negative slack.
+    No margin at all (say a J(F) of two nodes for a second difference) is
+    Inconclusive, with slack -inf and no witness.
     """
+    if margins.size == 0:
+        return Certificate(Status.INCONCLUSIVE, -math.inf, condition_id, tolerance)
     k = int(np.argmin(margins))
     slack, witness = float(margins.flat[k]), float(witnesses.flat[k])
     if slack >= -tolerance:
@@ -224,15 +228,15 @@ def check_log_concave(g: GridDensity,
 
     The slack is the most positive curvature estimate, negated, in units of
     (log f)''; nonpositive density nodes make the question ill-posed and the
-    verdict Inconclusive, with the first of them as witness, and so does a
-    J(F) of two nodes, which has no second difference.
+    verdict Inconclusive, with the first of them as witness, and a J(F) of
+    two nodes, which has no second difference, leaves :func:`_verdict` no
+    margin, so it is Inconclusive too.
     """
     xs, fs = g.xs[g.j_range], g.fs[g.j_range]
     bad = fs <= 0.0
-    if bad.any() or len(xs) < 3:
-        witness = float(xs[int(np.argmax(bad))]) if bad.any() else None
+    if bad.any():
         return Certificate(Status.INCONCLUSIVE, -math.inf, "log_concavity",
-                           opts.tolerance, witness_x=witness)
+                           opts.tolerance, witness_x=float(xs[int(np.argmax(bad))]))
     lf = np.log(fs)
     h = np.diff(xs)
     curv = 2.0 * (np.diff(lf[1:]) / h[1:] - np.diff(lf[:-1]) / h[:-1]) / (h[1:] + h[:-1])

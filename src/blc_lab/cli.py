@@ -6,8 +6,9 @@ criterion, smooth through shrinking Gaussians, project a multivariate
 measure onto a line, and scan directions in R^d.  Artifacts are CSV files
 (12 significant digits) plus JSON summaries; the JSON summary also goes to
 stdout.  Exit status: 0 certified/stable, 1 violated/unstable (also a
-BLC-only command given a non-BLC input), 2 inconclusive, 3 usage or input
-errors, 4 runtime failures.
+BLC-only command given a non-BLC input), 2 inconclusive, 3 usage, input
+or OS errors (an unreadable spec, an output path that is a file), 4 any
+other failure.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .convolution import (
     smooth_sequence,
 )
 from .core import (
-    DegenerateDensityError,
     DistributionSpec,
     DomainError,
     GridDensity,
@@ -228,17 +228,17 @@ def main(argv=None) -> int:
     try:
         opts = CertifyOptions(tolerance=args.tol) if "tol" in args else None
         outcome, name, summary = args.fn(args, opts)
-    except (SpecError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+        text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        (_out_dir(args) / name).write_text(text, encoding="utf-8")
+    except (SpecError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"blc-lab: error: {exc}", file=sys.stderr)
         return 3
     except RequiresCertificateError as exc:  # a BLC-only command on a non-BLC input
         print(f"blc-lab: error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateDensityError, ValueError) as exc:
-        print(f"blc-lab: error: {exc}", file=sys.stderr)
+    except Exception as exc:  # anything else is a runtime failure, never a verdict
+        print(f"blc-lab: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    (_out_dir(args) / name).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return _EXIT[outcome]
 

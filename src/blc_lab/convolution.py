@@ -11,10 +11,17 @@ point ``x_0 + h t`` of one lattice, so X's pdf and cdf are each evaluated
 once on it and each quadrature sum over all nodes is one FFT correlation
 with ``quad_weights * f_Y`` (scaled to unit sum, so that Y is a
 probability measure on its nodes): the same fourth-order rule on the same
-analytic functions, in O(n log n) instead of O(n^2).  Which factor plays Y
-is decided by the factors, not the argument order (see :func:`_roles`); a
-tabulated factor plays Y unless the other one is uniform, so X is
-interpolated (:meth:`GridDensity.functions`) only when both are tabulated.
+analytic functions, in O(n log n) instead of O(n^2).  One rule lays every
+such lattice out: its reference point is X's kink, else X's first node;
+x_0 lies a whole number of steps (2h with a kink, else h) from reference +
+y_0, and with a kink m is even unless 1, so the kink meets Y's grid on an
+even node of the parabolic rule at every output node (every other one if
+m is 1).  A uniform Y is summed like any other; its f_Z is then replaced
+by the closed form from X's CDF, as sampling a discontinuous density
+would cost an order.  Which factor plays Y is decided by the factors, not
+the argument order (see :func:`_roles`); a tabulated factor plays Y
+unless the other one is uniform, so X is interpolated
+(:meth:`GridDensity.functions`) only when both are tabulated.
 A non-uniform Y grid keeps the direct O(n^2) sum.  It and the covariance
 criterion read X at x - y from one generator, :func:`_x_blocks`, in blocks
 of the largest power-of-two row count with rows * n_Y <= 8192 (64 KB per
@@ -74,18 +81,18 @@ CONV_CERTIFY_TOL = 1e-5
 _ODD_SMOOTH = [3**b * 5**c for b in range(12) for c in range(8)]
 
 
-def _x_blocks(gX: GridDensity, xs: np.ndarray, ys: np.ndarray, pdf: bool = True):
+def _x_blocks(gX: GridDensity, xs: np.ndarray, ys: np.ndarray):
     """X at x_i - y_j, in blocks of :func:`_block_rows` rows of ``xs``.
 
-    Yields per block its row slice, F_X(x_i - y_j) and, when ``pdf``,
-    f_X(x_i - y_j).  Off X's grid every CDF accessor returns F_X's first or
-    last node value, so the columns whose x_i - y_j all exceed X's last node
-    (a prefix, since ``ys`` ascends) get ``Fs[-1]``, those whose x_i - y_j
-    all fall below its first node (a suffix) get ``Fs[0]``, and the CDF is
-    evaluated only on the band between.  The band is taken from the block's
-    least and greatest x, so ``xs`` may come in any order.  The pdf is
-    evaluated on every cell: an analytic pdf is not truncated to X's window.
-    The CDF block is one buffer, overwritten by the next block.
+    Yields per block its row slice, F_X(x_i - y_j) and f_X(x_i - y_j).  Off
+    X's grid every CDF accessor returns F_X's first or last node value, so
+    the columns whose x_i - y_j all exceed X's last node (a prefix, since
+    ``ys`` ascends) get ``Fs[-1]``, those whose x_i - y_j all fall below its
+    first node (a suffix) get ``Fs[0]``, and the CDF is evaluated only on
+    the band between.  The band is taken from the block's least and
+    greatest x, so ``xs`` may come in any order.  The pdf is evaluated on
+    every cell: an analytic pdf is not truncated to X's window.  The CDF
+    block is one buffer, overwritten by the next block.
     """
     pdf_X, cdf_X = gX.functions()
     n_y = len(ys)
@@ -99,7 +106,7 @@ def _x_blocks(gX: GridDensity, xs: np.ndarray, ys: np.ndarray, pdf: bool = True)
         Fx[:, :j0] = gX.Fs[-1]
         Fx[:, j1:] = gX.Fs[0]
         Fx[:, j0:j1] = cdf_X(x - ys[j0:j1])
-        yield slice(lo, lo + rows), Fx, np.asarray(pdf_X(x - ys), dtype=float) if pdf else None
+        yield slice(lo, lo + rows), Fx, np.asarray(pdf_X(x - ys), dtype=float)
 
 
 def _roles(gX: GridDensity, gY: GridDensity) -> tuple[GridDensity, GridDensity]:
@@ -124,23 +131,17 @@ def _roles(gX: GridDensity, gY: GridDensity) -> tuple[GridDensity, GridDensity]:
     return (gY, gX) if key(gX) < key(gY) else (gX, gY)
 
 
-def _lattice_sums(fns, start: float, u_ref: float, gY: GridDensity, wf: np.ndarray,
-                  m: int, n_out: int) -> np.ndarray:
-    """sum_j wf_j fn(start + m h k - y_j) for k < n_out, one row per fn.
+def _lattice_sums(fns, u: np.ndarray, wf: np.ndarray, m: int) -> np.ndarray:
+    """sum_j wf_j fn(u_{m k + n_Y - 1 - j}) for every output node k, one row per fn.
 
-    With y_j = y_0 + j h the argument is start - y_0 + h (m k - j), a point
-    of one lattice, so each fn is evaluated once on its m (n_out - 1) + n_Y
-    points and the sums are a correlation with Y's node weights ``wf``, done
-    by one real FFT.  The lattice is laid out from ``u_ref``, one of its
-    points, which is then hit exactly (X's kink, which thus meets Y's grid on
-    a node).  The transform length is the least 2^a 3^b 5^c (b < 12, c < 8)
-    not below the lattice length, so nothing wraps around into the entries
-    read back.
+    ``u`` is the lattice of the differences x_k - y_j, ascending from
+    x_0 - y_{n_Y - 1} in steps of Y's spacing, and the output nodes step by
+    ``m`` of them, so each fn is evaluated once on ``u`` and the sums are a
+    correlation with Y's node weights ``wf``, done by one real FFT.  The
+    transform length is the least 2^a 3^b 5^c (b < 12, c < 8) not below the
+    lattice length, so nothing wraps around into the entries read back.
     """
-    n_y, h = len(gY), _spacing(gY.xs)
-    size = m * (n_out - 1) + n_y
-    i_ref = round((u_ref - start + gY.xs[0]) / h) + n_y - 1
-    u = u_ref + h * (np.arange(size) - i_ref)
+    n_y, size = len(wf), len(u)
     n_fft = min(p << (-(-size // p) - 1).bit_length() for p in _ODD_SMOOTH if p < 2 * size)
     wf_hat = np.fft.rfft(wf, n_fft)
     vals = np.stack([np.asarray(fn(u), dtype=float) for fn in fns])
@@ -159,17 +160,21 @@ def convolve(gX: GridDensity, gY: GridDensity) -> GridDensity:
     When Y's grid is uniform with spacing h the nodes are Y's lattice points
     ``x_0 + y_0 + m h k``, with ``m`` the largest step that still gives at
     least n nodes (so between n and about 2n of them), and f_Z and F_Z at
-    every node come from one FFT pass.  If X has a kink (Laplace) the nodes
-    shift by less than 2h and ``m`` is even (unless 1), so that the kink
-    meets Y's grid on an even node at every output node.
+    every node come from one FFT pass.  One rule lays the lattice out: its
+    reference point is X's kink (Laplace), else X's first node, and the
+    first output node is the last point at or below the summed supports'
+    left end that lies a whole number of steps from reference + y_0, the
+    step being 2h with a kink, else h (so x_0 is that left end exactly).
+    With a kink ``m`` is also made even unless 1, so that the kink meets
+    Y's grid on an even node at every output node (every other one if 1).
 
     A tabulated (non-uniform) Y gets n evenly spaced nodes and direct O(n^2)
     sums, and so does a Y too coarse for n nodes or so fine that its lattice
     would hold more than a quarter of the n * n_Y points of the direct sums.
 
     A uniform factor's density is discontinuous, so sampling it inside the
-    quadrature would cost a full order of accuracy; its f_Z is taken in
-    closed form from X's CDF instead, and only F_Z is summed.
+    quadrature would cost a full order of accuracy; its f_Z is summed like
+    any other and then replaced by the closed form from X's CDF.
     """
     gX, gY = _roles(gX, gY)
     n = max(len(gX), len(gY))
@@ -189,7 +194,6 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     """
     wf = gY.quad_weights * gY.fs
     wf = wf / wf.sum()
-    box = gY.uniform_bounds is not None
     lo = gX.xs[0] + gY.xs[0]
     span = (gX.xs[-1] - gX.xs[0]) + (gY.xs[-1] - gY.xs[0])
     h = _spacing(gY.xs)
@@ -199,41 +203,35 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     # ms, the lattice 9-11 ms at 0.07 of n * n_Y and 44-63 ms at 0.27 (the
     # 512-row sums of 89-133 ms met it between 0.37 and 0.52)
     lattice = h is not None and (n - 1) * h <= span < n * len(gY) * h / 4
+    pdf_X, cdf_X = gX.functions()
 
     if lattice:
+        # a kink must meet Y's grid on an even node of the parabolic rule at
+        # every output node: the nodes step from kink + y_0 by 2h, m is even
+        kinked = gX.kink_x is not None
+        u_ref, step = (gX.kink_x, 2 * h) if kinked else (gX.xs[0], h)
         m = max(1, int(span / ((n - 1) * h)))
-        start, u_ref = lo, gX.xs[0]
-        if gX.kink_x is not None:
-            # shift the nodes by less than 2h so that X's kink meets Y's grid
-            # on an even node of the parabolic rule at every output node
-            if m > 1:
-                m -= m % 2
-            anchor = gX.kink_x + gY.xs[0]
-            start = anchor + 2 * h * math.floor((lo - anchor) / (2 * h))
-            u_ref = gX.kink_x
+        if kinked and m > 1:
+            m -= m % 2
+        anchor = u_ref + gY.xs[0]
+        start = anchor + step * math.floor((lo - anchor) / step)
         n_out = int(math.ceil((lo + span - start) / (m * h) - 1e-9)) + 1
         xs = start + m * h * np.arange(n_out)
-        pdf_X, cdf_X = gX.functions()
-        sums = _lattice_sums([cdf_X] if box else [pdf_X, cdf_X], start, u_ref, gY, wf, m, n_out)
+        # x_k - y_j = start - y_0 + h (m k - j): the points of one lattice,
+        # laid out from u_ref, which is then hit exactly
+        size = m * (n_out - 1) + len(gY)
+        i_ref = round((u_ref - start + gY.xs[0]) / h) + len(gY) - 1
+        fs, Fs = _lattice_sums((pdf_X, cdf_X), u_ref + h * (np.arange(size) - i_ref), wf, m)
     else:
         xs = np.linspace(lo, gX.xs[-1] + gY.xs[-1], n)
-        sums = np.empty((2, n))
-        for rows, Fx, fx in _x_blocks(gX, xs, gY.xs, pdf=not box):
-            sums[1, rows] = Fx @ wf
-            if not box:
-                sums[0, rows] = fx @ wf
+        fs, Fs = np.empty(n), np.empty(n)
+        for rows, Fx, fx in _x_blocks(gX, xs, gY.xs):
+            fs[rows], Fs[rows] = fx @ wf, Fx @ wf
 
-    return xs, _box_density(gX, gY, xs) if box else sums[0], sums[-1]
-
-
-def _box_density(gX: GridDensity, gY: GridDensity, xs: np.ndarray) -> np.ndarray:
-    """Closed-form f_Z for a uniform factor Y on [lo, hi].
-
-    f_Z(x) = (F_X(x - lo) - F_X(x - hi)) / (hi - lo).
-    """
-    lo, hi = gY.uniform_bounds
-    cdf_X = gX.functions()[1]
-    return (np.asarray(cdf_X(xs - lo), float) - np.asarray(cdf_X(xs - hi), float)) / (hi - lo)
+    if gY.uniform_bounds is not None:  # a box Y on [a, b]: f_Z in closed form
+        a, b = gY.uniform_bounds
+        fs = (np.asarray(cdf_X(xs - a), float) - np.asarray(cdf_X(xs - b), float)) / (b - a)
+    return xs, fs, Fs
 
 
 class Verdict(str, enum.Enum):

@@ -44,8 +44,13 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 def _block_rows(n_columns: int) -> int:
     """Rows per block of an O(rows * columns) computation: the largest power of
-    two with rows * n_columns <= ``_BLOCK_CELLS`` (at least 1)."""
-    return 1 << max(0, (_BLOCK_CELLS // n_columns).bit_length() - 1)
+    two with rows * max(n_columns, 1) <= ``_BLOCK_CELLS`` (at least 1)."""
+    return 1 << max(0, (_BLOCK_CELLS // max(n_columns, 1)).bit_length() - 1)
+
+
+def _require_grid_size(n_points: int):
+    """Refuse fewer than 64 nodes for a tabulated analytic law (``SpecError``)."""
+    _require(n_points >= 64, "n_points must be >= 64")
 
 
 class SpecError(ValueError):
@@ -275,11 +280,10 @@ def _mixture_sums(terms, w, mu, sd, x, sign=1.0):
     return tuple(total[()] for total in sums)
 
 
-def _mixture_family(weights, means, sds, window=None):
-    """A Gaussian mixture; its window is solved here unless given."""
+def _mixture_family(weights, means, sds):
+    """A Gaussian mixture, with its window solved here."""
     w, mu, sd = (np.asarray(a, float) for a in (weights, means, sds))
-    if window is None:
-        window = tuple(float(v[0]) for v in _mixture_windows(w, mu[None], sd[None]))
+    window = tuple(float(v[0]) for v in _mixture_windows(w, mu[None], sd[None]))
     return _Family(*(lambda x, t=t: _mixture_sums((t,), w, mu, sd, x)[0] for t in _TERMS),
                    window)
 
@@ -591,9 +595,6 @@ def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:
     keep their given abscissas; their density and node CDF are divided by
     the mass, the last value of the cumulative trapezoid sum.
     """
-    if spec.family != "grid" and n_points < 64:
-        raise SpecError("invalid spec: n_points must be >= 64")
-
     if spec.family == "grid":
         xs = np.asarray(spec.params["abscissas"], dtype=float)
         fs = np.asarray(spec.params["density_values"], dtype=float)
@@ -605,8 +606,8 @@ def materialize(spec: DistributionSpec, n_points: int = 2048) -> GridDensity:
         return GridDensity(xs=xs, fs=fs / mass, Fs=np.clip(Fs / mass, 0.0, 1.0),
                            total_mass=1.0, label=spec.label())
 
+    _require_grid_size(n_points)
     fam = _make_family(spec)
-
     if spec.family == "uniform":
         lo, hi = spec.params["lo"], spec.params["hi"]
         xs = np.linspace(lo, hi, n_points)

@@ -27,9 +27,10 @@ import numpy as np
 
 from .certify import (_BLC_CONDITION, Certificate, CertifyOptions, Status, _sandwich_rows,
                       combined_status)
-from .core import (DomainError, GridDensity, SpecError, _block_rows, _check_grids,
-                   _json_numbers, _mixture_family, _mixture_quantile, _mixture_sums,
-                   _mixture_windows, _read_json, _tabulate, _tabulate_rows, _write_csv)
+from .core import (DistributionSpec, DomainError, GridDensity, SpecError, _block_rows,
+                   _check_grids, _json_numbers, _mixture_quantile, _mixture_sums,
+                   _mixture_windows, _read_json, _require_grid_size, _tabulate_rows,
+                   _write_csv, materialize)
 from .isoperimetry import IsoProfile, weak_blc_ratio_check
 
 EIGENVALUE_FLOOR = 1e-10
@@ -141,21 +142,14 @@ def direction_set(dimension: int, n_directions: int) -> np.ndarray:
 
 def project_to_line(m: SymmetricMixtureNd, u: Sequence[float],
                     n_grid: int = 2048) -> GridDensity:
-    """Law of Y.u for Y ~ m: a 1-D Gaussian mixture, materialized at its median."""
+    """Law of Y.u for Y ~ m: the 1-D Gaussian mixture, materialized like any other."""
     u = np.asarray(u, dtype=float)
     if u.shape != (m.dimension,):
         raise SpecError(f"invalid spec: direction must have {m.dimension} coordinates")
     if np.linalg.norm(u) == 0.0:
         raise SpecError("invalid spec: direction must be a nonzero vector")
-    _require_grid_size(n_grid)
     (mu,), (sd,) = _projected_components(m, u[None])
-    return _tabulate(_mixture_family(m.weights, mu, sd), n_grid,
-                     f"gaussian_mixture(k={m.n_components})")
-
-
-def _require_grid_size(n_grid: int):
-    if n_grid < 64:
-        raise SpecError("invalid spec: n_points must be >= 64")
+    return materialize(DistributionSpec.gaussian_mixture(m.weights, mu, sd), n_grid)
 
 
 def _projected_components(m: SymmetricMixtureNd, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,9 +192,9 @@ class DirectionScan:
         u = self.directions
         if len(u) < 2:
             return 0.0
-        nearest = 1.0
-        for lo in range(0, len(u), 256):  # bounded (256, n) blocks of |cos|
-            cos = np.abs(u[lo:lo + 256] @ u.T)
+        nearest, block = 1.0, _block_rows(len(u))
+        for lo in range(0, len(u), block):  # bounded (block, n) arrays of |cos|
+            cos = np.abs(u[lo:lo + block] @ u.T)
             rows = np.arange(len(cos))
             cos[rows, lo + rows] = -1.0
             nearest = min(nearest, float(cos.max(axis=1).min()))
@@ -258,15 +252,16 @@ def halfspace_profile_nd(
     """Half-space profile as the directional infimum of projected profiles.
 
     Each line's min{f_u(F_u^{-1}(p)), f_u(F_u^{-1}(1-p))} is solved in closed
-    form, to the mixture quantile solver's tolerance, for 256 lines per call;
-    ``n_grid`` has no effect.  A p outside (0, 1) raises :class:`DomainError`.
+    form, to the mixture quantile solver's tolerance, in row blocks of lines
+    against their 2 len(ps) roots (``_block_rows``); ``n_grid`` has no
+    effect.  A p outside (0, 1) raises :class:`DomainError`.
     """
     ps = np.asarray(ps, dtype=float)
     if not np.all((ps > 0.0) & (ps < 1.0)):
         raise DomainError("quantile domain: p must lie strictly inside (0, 1)")
-    U, values = _scan_directions(m, n_directions), np.inf
-    for lo in range(0, len(U), 256):
-        means, sds = _projected_components(m, U[lo:lo + 256])
+    U, values, rows = _scan_directions(m, n_directions), np.inf, _block_rows(2 * len(ps))
+    for lo in range(0, len(U), rows):
+        means, sds = _projected_components(m, U[lo:lo + rows])
         x = _mixture_quantile(np.tile(np.concatenate([ps, 1.0 - ps]), (len(means), 1)),
                               m.weights, means, sds)
         fs, = _mixture_sums(("pdf",), m.weights, means.T[..., None], sds.T[..., None], x)

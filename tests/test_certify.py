@@ -119,6 +119,13 @@ class TestEnvelope:
         with pytest.raises(DomainError, match="outside J"):
             check_envelope(logistic, [math.log(3e-6 / (1.0 - 3e-6))])
 
+    def test_no_anchor_inconclusive(self, gauss):
+        # no anchor gives no margin: Inconclusive, as for a two-node J(F)
+        cert = check_envelope(gauss, [])
+        assert cert.status is Status.INCONCLUSIVE
+        assert cert.slack == -math.inf and cert.witness_x is None
+        assert cert.condition_id == "cdf_envelope"
+
 
 class TestLogConcavity:
     def test_gaussian_curvature_is_one(self, gauss):

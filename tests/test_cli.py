@@ -152,6 +152,36 @@ class TestCertifyCommand:
                      "-o", str(tmp_path)])
         assert code == 3
 
+    def test_spec_directory_exit_three(self, tmp_path, capsys):
+        # an OS error reading the spec is an input error, not a verdict
+        code = main(["certify", "--spec", str(tmp_path), "-o", str(tmp_path / "o")])
+        assert code == 3
+        assert "blc-lab: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["certify", "--spec"], ["convolve", "--x"]])
+    def test_out_path_is_a_file_exit_three(self, specs, tmp_path, capsys, command):
+        # certify makes the out directory only to write its summary, convolve
+        # before its CSV: either way the error is handled
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        argv = [*command, specs["logistic"], "-o", str(taken), "--n", "256"]
+        code = main(argv + (["--y", specs["laplace"]] if command[0] == "convolve" else []))
+        assert code == 3
+        out = capsys.readouterr()
+        assert "blc-lab: error:" in out.err and out.out == ""
+
+    @pytest.mark.parametrize("error", [MemoryError, RuntimeError])
+    def test_other_failures_exit_four(self, specs, tmp_path, capsys, monkeypatch, error):
+        # a failure that is neither an input error nor a verdict exits 4, never 1
+        def fail(spec, n_points):
+            raise error()
+
+        monkeypatch.setattr(cli, "materialize", fail)
+        code = main(["certify", "--spec", specs["logistic"], "-o", str(tmp_path / "o")])
+        assert code == 4
+        assert f"blc-lab: error: {error.__name__}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         ["certify"],  # --spec is required
         ["smooth", "--spec", "mix134.json", "--tol", "1e-6"],  # smooth has no --tol

@@ -221,6 +221,30 @@ def test_lattice_sums_equal_direct_sums(sx, sy, n):
         assert np.abs(fs - np.asarray(pdf_X(u), dtype=float) @ wf).max() <= 1e-13
 
 
+@pytest.mark.parametrize("other", [
+    DistributionSpec.laplace(0.4, 0.5),
+    DistributionSpec.uniform(-0.3, 0.9),
+    tabulated_spec(DistributionSpec.gaussian(0.2, 0.7), 301, spacing="uniform"),
+], ids=["laplace", "uniform", "even-grid"])
+@pytest.mark.parametrize("n", [256, 257])
+@pytest.mark.parametrize("scale", [0.9, 1.1, 1.3])
+def test_kink_meets_an_even_node_of_y_at_every_output_node(other, n, scale):
+    # the lattice rule for a kinked X: the output nodes step from kink + y_0
+    # by 2h and m is even, so x_k - y_j hits the kink only at an even j; for
+    # each kind of Y some scale and n make floor((x_0 - kink) / h) odd, so a
+    # step of h would show, and some make the step m odd before evening
+    gX, gY = _roles(materialize(DistributionSpec.laplace(-0.7, scale), n_points=n),
+                    materialize(other, n_points=n))
+    assert gX.kink_x is not None
+    h = _spacing(gY.xs)
+    xs = _node_sums(gX, gY, n + 1 - n % 2)[0]  # the nodes, before any mass check
+    m = (xs[1] - xs[0]) / h
+    assert abs(m - round(m)) <= 1e-9 and round(m) >= 2  # on Y's lattice, past m = 1
+    t = (xs - gX.kink_x - gY.xs[0]) / h
+    assert np.abs(t - np.round(t)).max() <= 1e-6
+    assert np.all(np.round(t) % 2 == 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(sx=_factor_specs(), sy=_factor_specs(), n=st.sampled_from([256, 512]))
 @example(sx=GAUSSIAN, sy=DistributionSpec.gaussian(1.0, 1.0), n=256)  # equal spacings

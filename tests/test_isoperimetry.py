@@ -125,6 +125,12 @@ class TestIsoperimetricConstants:
 
 
 class TestRatioCheck:
+    def test_one_point_profile_inconclusive(self):
+        # one profile point has no step to judge
+        cert = weak_blc_ratio_check(IsoProfile(ps=[0.3], values=[0.2], kind="halfspace_1d"))
+        assert cert.status is Status.INCONCLUSIVE
+        assert cert.slack == -math.inf and cert.witness_x is None
+
     def test_logistic_ratio_certified(self, logistic):
         cert = weak_blc_ratio_check(halfspace_profile_1d(logistic, PS99))
         assert cert.status is Status.CERTIFIED

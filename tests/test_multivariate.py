@@ -407,6 +407,13 @@ class TestWeakBlcNd:
         assert cert.status is Status.VIOLATED
         assert 0.0 < cert.witness_x < 1.0
 
+    @pytest.mark.parametrize("ps", [[0.3], []])
+    def test_fewer_than_two_points_inconclusive(self, mix2d_134, ps):
+        # a profile of fewer than two points has no ratio step to judge
+        cert = weak_blc_check_nd(mix2d_134, ps, 8)
+        assert cert.status is Status.INCONCLUSIVE
+        assert cert.slack == -math.inf and cert.witness_x is None
+
     def test_measure_with_cycling_quantile_steps(self):
         # on one of its lines the mixture quantile solver's Newton steps
         # cycle; they end in bisection, and the profile is the closed form's
