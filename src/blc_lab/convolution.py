@@ -23,16 +23,16 @@ the argument order (see :func:`_roles`); a tabulated factor plays Y
 unless the other one is uniform, so X is interpolated
 (:meth:`GridDensity.functions`) only when both are tabulated.
 A non-uniform Y grid keeps the direct O(n^2) sum.  It and the covariance
-criterion read X at x - y from one generator, :func:`_x_blocks`, in blocks
-of the largest power-of-two row count with rows * n_Y <= 8192 (64 KB per
-array).  X's CDF is evaluated there only on the band of columns where
-x - y can meet X's grid; off it every cdf accessor returns F_X's first or
-last node value (``np.interp`` clamps, analytic families clip).  The band
-comes from each block's least and greatest x, so the criterion's anchors
-may come in any order.  X's pdf is evaluated on every cell: an analytic
-pdf is not truncated to X's window.  The result carries node values only:
-where its density derivative is read, it comes from finite differences, as
-for any tabulated density.
+criterion at given anchors read X at x - y from one generator,
+:func:`_x_blocks`, in blocks of the largest power-of-two row count with
+rows * n_Y <= 8192 (64 KB per array).  X's CDF is evaluated there only on
+the band of columns where x - y can meet X's grid; off it every cdf
+accessor returns F_X's first or last node value (``np.interp`` clamps,
+analytic families clip).  The band comes from each block's least and
+greatest x, so the criterion's anchors may come in any order.  X's pdf is
+evaluated on every cell: an analytic pdf is not truncated to X's window.
+The result carries node values only: where its density derivative is read,
+it comes from finite differences, as for any tabulated density.
 
 Stability of bi-log-concavity under the convolution is characterized by two
 covariance conditions: with a(y) = (-log f_Y)'(y),
@@ -42,7 +42,12 @@ covariance conditions: with a(y) = (-log f_Y)'(y),
 
 where m_x and mbar_x weight Y's grid by f_Y(y) F_X(x-y) and
 f_Y(y) (1-F_X)(x-y); both exist in :func:`_anchor_covariances` only, as
-four weighted sums per tilt over the blocks of :func:`_x_blocks`.
+four weighted sums per tilt over blocks of X at x - y.  With a uniform Y the
+default anchors (quantiles of F_Z) are snapped to Y's lattice by the rule
+above, so X is evaluated once on the lattice of the differences and the
+blocks are gathered from it (:func:`_lattice_blocks`); given anchors, a
+non-uniform Y, or a lattice larger than a quarter of the direct cells use
+:func:`_x_blocks`.
 The first condition is equivalent to log-concavity of F_Z, the second to
 log-concavity of 1-F_Z; both follow from Chebyshev's association
 inequality whenever Y is log-concave, since each second argument
@@ -57,6 +62,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .certify import (Certificate, CertifyOptions, Status, _require_blc, _verdict,
                       certify_blc)
@@ -184,6 +190,13 @@ def convolve(gX: GridDensity, gY: GridDensity) -> GridDensity:
                        label=f"conv[{gX.label},{gY.label}]")
 
 
+def _lattice_origin(gX: GridDensity, h: float) -> tuple[float, float]:
+    """Reference point and step of the points laid on Y's lattice (spacing h):
+    X's kink with step 2h, so that it meets Y's grid on even nodes only, else
+    X's first node with step h."""
+    return (gX.kink_x, 2 * h) if gX.kink_x is not None else (gX.xs[0], h)
+
+
 def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     """Nodes of X+Y with f_Z and F_Z there (unclipped).
 
@@ -208,10 +221,9 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
     if lattice:
         # a kink must meet Y's grid on an even node of the parabolic rule at
         # every output node: the nodes step from kink + y_0 by 2h, m is even
-        kinked = gX.kink_x is not None
-        u_ref, step = (gX.kink_x, 2 * h) if kinked else (gX.xs[0], h)
+        u_ref, step = _lattice_origin(gX, h)
         m = max(1, int(span / ((n - 1) * h)))
-        if kinked and m > 1:
+        if gX.kink_x is not None and m > 1:
             m -= m % 2
         anchor = u_ref + gY.xs[0]
         start = anchor + step * math.floor((lo - anchor) / step)
@@ -269,10 +281,10 @@ class ConvolutionCriterionReport:
         return json.dumps(self.summary(), sort_keys=True)
 
 
-def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
-                        wf: np.ndarray, a: np.ndarray):
-    """Both covariances at every anchor of ``xs``, in the blocks of :func:`_x_blocks`.
+def _anchor_covariances(blocks, n_anchors: int, wf: np.ndarray, a: np.ndarray):
+    """Both covariances at ``n_anchors`` anchors from their (rows, F_X, f_X) ``blocks``.
 
+    ``blocks`` are those of :func:`_x_blocks` or :func:`_lattice_blocks`;
     ``wf`` is Y's node weight, zero at excluded nodes.  For the tilt
     t = F_X(x - .) (sign +1) or 1 - F_X(x - .) (sign -1) the measure is
     wf * t and the second argument is sign * f_X / t where t > 0, so four
@@ -283,8 +295,8 @@ def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
     tilted measures carry more than ``MASS_TOL``.
     """
     weights = np.stack([wf, wf * a], axis=1)
-    sums = np.empty((len(xs), 2, 4))  # per tilt: z, S_a, S_b, S_ab
-    for rows, Fx, fx in _x_blocks(gX, xs, gY.xs):
+    sums = np.empty((n_anchors, 2, 4))  # per tilt: z, S_a, S_b, S_ab
+    for rows, Fx, fx in blocks:
         for k, tilt in enumerate((Fx, 1.0 - Fx)):
             sums[rows, k, :2] = tilt @ weights
             sums[rows, k, 2:] = np.where(tilt > 0.0, fx, 0.0) @ weights
@@ -293,6 +305,40 @@ def _anchor_covariances(gX: GridDensity, gY: GridDensity, xs: np.ndarray,
         cov = np.array([1.0, -1.0]) * (s_ab / z - (s_a / z) * (s_b / z))
     usable = (MASS_TOL < z[:, 0]) & (MASS_TOL < z[:, 1])
     return cov[:, 0], cov[:, 1], usable
+
+
+def _lattice_blocks(gX: GridDensity, gY: GridDensity, q: np.ndarray):
+    """Anchors ``q`` snapped to Y's lattice, with their (rows, F_X, f_X) blocks.
+
+    For a uniform Y of spacing h each anchor moves to the nearest point
+    ``u_ref + y_0 + step t`` (:func:`_lattice_origin`, the rule of
+    :func:`_node_sums`).  Every x_a - y_j is then a point ``u_ref + h s`` of
+    one lattice, on which X's pdf and CDF are evaluated once; a block's rows
+    are gathered from it (anchor a reads ``F[s_a - j]``), in the row count of
+    :func:`_x_blocks`.  Anchors that snap to the same point are kept.  A non-uniform Y, or a lattice larger
+    than a quarter of the ``len(q) * n_Y`` cells of the direct blocks (the
+    guard of :func:`_node_sums`), returns ``(q, None)``: the anchors as given,
+    for :func:`_x_blocks`.
+    """
+    h = _spacing(gY.xs)
+    if h is None:
+        return q, None
+    u_ref, step = _lattice_origin(gX, h)
+    ref = u_ref + gY.xs[0]
+    s = round(step / h) * np.rint((q - ref) / step).astype(np.int64)
+    n_y = len(gY)
+    size = int(s.max() - s.min()) + n_y
+    if 4 * size > len(q) * n_y:
+        return q, None
+    # descending, so that anchor a's row is the slice from s_max - s_a on
+    u = u_ref + h * (s.max() - np.arange(size))
+    pdf_X, cdf_X = gX.functions()
+    F, f = (sliding_window_view(np.asarray(fn(u), dtype=float), n_y) for fn in (cdf_X, pdf_X))
+    first = s.max() - s
+    rows = _block_rows(n_y)
+    blocks = ((slice(lo, lo + rows), F[first[lo:lo + rows]], f[first[lo:lo + rows]])
+              for lo in range(0, len(q), rows))
+    return ref + h * s, blocks
 
 
 def covariance_criterion(
@@ -305,7 +351,14 @@ def covariance_criterion(
     """Evaluate both stability covariances over a set of anchors.
 
     Anchors default to 41 quantiles of F_{X+Y} between 0.02 and 0.98 (pass
-    ``gZ`` to reuse an existing convolution).  Nodes where f_Y falls below
+    ``gZ`` to reuse an existing convolution).  When Y's grid is uniform the
+    default anchors are snapped to Y's lattice, each to the nearest point a
+    whole step from X's kink (step 2h) or first node (step h) plus y_0, so
+    X's pdf and CDF are evaluated once on the lattice of the differences
+    (:func:`_lattice_blocks`); anchors that snap to the same point are all
+    kept.  Passed ``xs``, a non-uniform Y, or a lattice larger than a quarter
+    of the 41 * n_Y cells of the direct sums keep the anchors as they are and
+    evaluate X on every cell (:func:`_x_blocks`).  Nodes where f_Y falls below
     1e-12 times its maximum are excluded from the quadrature together with
     their (negligible) weight, which is reported; anchors whose tilted
     measures carry no mass are skipped.  Each covariance comes from four
@@ -313,19 +366,22 @@ def covariance_criterion(
     finite and >= 0 (``SpecError``), the anchors finite (``DomainError``).
     """
     tolerance = CertifyOptions(tolerance).tolerance
+    blocks = None
     if xs is None:
         if gZ is None:
             gZ = convolve(gX, gY)
-        xs = gZ.quantile(np.linspace(0.02, 0.98, 41))
+        xs, blocks = _lattice_blocks(gX, gY, gZ.quantile(np.linspace(0.02, 0.98, 41)))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(np.isfinite(xs)):
         raise DomainError("anchors must be finite")
+    if blocks is None:
+        blocks = _x_blocks(gX, xs, gY.xs)
 
     wq = gY.quad_weights
     alive = gY.fs > 1e-12 * gY.fs.max()
     excluded = float(np.sum((wq * gY.fs)[~alive]))
     a = np.where(alive, -gY.node_derivatives() / gY.fs, 0.0)  # a = (-log f_Y)'
-    cov_lo, cov_up, ok = _anchor_covariances(gX, gY, xs, np.where(alive, wq * gY.fs, 0.0), a)
+    cov_lo, cov_up, ok = _anchor_covariances(blocks, len(xs), np.where(alive, wq * gY.fs, 0.0), a)
     kept, cov_lo, cov_up = xs[ok], cov_lo[ok], cov_up[ok]
 
     if len(kept):

@@ -401,20 +401,107 @@ def test_criterion_does_not_depend_on_anchor_order(gX, y_kind, n, c, s):
     assert rev.skipped == fwd.skipped[::-1]
 
 
-def test_direct_sums_and_criterion_stay_small_in_memory():
-    # blocks of at most 8192 cells: neither pass holds an (n, n_Y) array
+_QUANTILES = np.linspace(0.02, 0.98, 41)
+
+
+def _convolve_or_none(gX, gY):
+    """X + Y, or None where the sum misses the mass tolerance."""
+    try:
+        return convolve(gX, gY)
+    except DegenerateDensityError:
+        return None
+
+
+def _all_anchors(report):
+    """The kept and skipped anchors of a report, ascending."""
+    return np.sort(np.concatenate([report.xs, report.skipped]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gX=_x_factors().filter(lambda g: g.uniform_bounds is None),
+       y_kind=st.sampled_from(_Y_KINDS[1:]), n=st.sampled_from([256, 1024]),
+       c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0))
+def test_default_anchors_snap_to_the_lattice_of_y(gX, y_kind, n, c, s):
+    # a uniform Y puts the default anchors on its lattice: whole steps from
+    # u_ref + y_0 (2h from X's kink, else h from X's first node), each within
+    # half a step of its quantile, with the covariances of the direct blocks
+    # at those anchors.  They differ only where x_a - y_j is X's first or last
+    # node: on the lattice exactly, so t = 0 there and [t > 0] drops f_X, while
+    # the direct difference may round to either side.  That one cell per tilt
+    # moves a covariance by wf_j f_X (a_j - S_a / z) / z, with z >= 0.01 at
+    # these quantiles.
+    gY = _y_factor(y_kind, n, c, s)
+    gZ = _convolve_or_none(gX, gY)
+    assume(gZ is not None)
+    report = covariance_criterion(gX, gY, gZ=gZ)
+    h = _spacing(gY.xs)
+    u_ref, step = (gX.kink_x, 2 * h) if gX.kink_x is not None else (gX.xs[0], h)
+    t = (_all_anchors(report) - u_ref - gY.xs[0]) / step
+    assert np.abs(t - np.rint(t)).max() < 1e-6
+    assert np.abs(_all_anchors(report) - gZ.quantile(_QUANTILES)).max() <= step / 2 * (1 + 1e-9)
+    direct = covariance_criterion(gX, gY, xs=report.xs)
+    assert np.array_equal(direct.xs, report.xs)
+    f_end = np.abs(gX.functions()[0](gX.xs[[0, -1]])).max()
+    wf, a = gY.quad_weights * gY.fs, np.abs(gY.node_derivatives() / gY.fs).max()
+    tol = 1e-12 + 2 * wf.max() * f_end * a / 0.01
+    for got, want in ((report.cov_lower, direct.cov_lower), (report.cov_upper, direct.cov_upper)):
+        assert np.abs(got - want).max() <= tol
+
+
+@pytest.mark.parametrize("y_kind", ["gaussian", "logistic", "mixture"])
+def test_kinked_x_anchors_lie_even_steps_from_its_kink(y_kind):
+    gX = materialize(DistributionSpec.laplace(0.3, 0.8), n_points=256)
+    gY = _y_factor(y_kind, 256, -0.4, 1.1)
+    report = covariance_criterion(gX, gY)
+    t = (_all_anchors(report) - gX.kink_x - gY.xs[0]) / _spacing(gY.xs)
+    assert np.abs(t - np.rint(t)).max() < 1e-6 and np.all(np.rint(t) % 2 == 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(gX=_x_factors(), n=st.sampled_from([256, 1024]),
+       c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0))
+def test_non_uniform_y_keeps_the_quantile_anchors(gX, n, c, s):
+    # a sinh-grid Y has no lattice: the quantiles are the anchors and the
+    # direct blocks give their covariances bit for bit
+    gY = _sinh_y(n, c, s)
+    gZ = _convolve_or_none(gX, gY)
+    assume(gZ is not None)
+    report = covariance_criterion(gX, gY, gZ=gZ)
+    direct = covariance_criterion(gX, gY, xs=gZ.quantile(_QUANTILES))
+    for attr in ("xs", "cov_lower", "cov_upper"):
+        assert np.array_equal(getattr(report, attr), getattr(direct, attr)), attr
+    assert report.skipped == direct.skipped
+
+
+def test_lattice_larger_than_a_quarter_of_the_direct_cells_keeps_the_quantiles():
+    # the anchors of a wide X span about 207000 points of a narrow Y's lattice,
+    # against 41 * 1024 cells of the direct blocks
+    gX = materialize(DistributionSpec.gaussian(0.0, 30.0), n_points=1024)
+    gY = materialize(DistributionSpec.gaussian(0.0, 0.05), n_points=1024)
+    gZ = convolve(gX, gY)
+    report = covariance_criterion(gX, gY, gZ=gZ)
+    assert np.array_equal(report.xs, gZ.quantile(_QUANTILES))
+
+
+@pytest.mark.parametrize("gY", [_sinh_y(4001, 0.0, 1.0),
+                                materialize(DistributionSpec.gaussian(0.0, 1.0), n_points=4001)],
+                         ids=["sinh_grid", "uniform_grid"])
+def test_direct_sums_and_criterion_stay_small_in_memory(gY):
+    # blocks of at most 8192 cells: neither pass holds an (n, n_Y) array, and
+    # the rows gathered from the criterion's lattice come in the same blocks
     gX = materialize(mixture_spec(1.0, sd=0.8), n_points=2048)
-    gY = _sinh_y(4001, 0.0, 1.0)
     tracemalloc.start()
     try:
         gZ = convolve(gX, gY)
         conv_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        covariance_criterion(gX, gY, gZ=gZ)
+        report = covariance_criterion(gX, gY, gZ=gZ)
         crit_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert conv_peak < 4 * 2**20 and crit_peak < 4 * 2**20, (conv_peak, crit_peak)
+    lattice = _spacing(gY.xs) is not None
+    assert np.array_equal(report.xs, gZ.quantile(_QUANTILES)) is not lattice
 
 
 class TestCovarianceCriterion:
