@@ -23,13 +23,13 @@ the argument order (see :func:`_roles`); a tabulated factor plays Y
 unless the other one is uniform, so X is interpolated
 (:meth:`GridDensity.functions`) only when both are tabulated.
 A non-uniform Y grid keeps the direct O(n^2) sum.  It and the covariance
-criterion at given anchors read X at x - y from one generator,
+criterion at given points read X at x - y from one generator,
 :func:`_x_blocks`, in blocks of the largest power-of-two row count with
 rows * n_Y <= 8192 (64 KB per array).  X's CDF is evaluated there only on
 the band of columns where x - y can meet X's grid; off it every cdf
 accessor returns F_X's first or last node value (``np.interp`` clamps,
 analytic families clip).  The band comes from each block's least and
-greatest x, so the criterion's anchors may come in any order.  X's pdf is
+greatest x, so the criterion's points may come in any order.  X's pdf is
 evaluated on every cell: an analytic pdf is not truncated to X's window.
 The result carries node values only: where its density derivative is read,
 it comes from finite differences, as for any tabulated density.
@@ -41,13 +41,17 @@ covariance conditions: with a(y) = (-log f_Y)'(y),
     cov_{mbar_x}( a, -f_X/(1-F_X) (x - .) )    >= 0   for all x in J(F_Z),
 
 where m_x and mbar_x weight Y's grid by f_Y(y) F_X(x-y) and
-f_Y(y) (1-F_X)(x-y); both exist in :func:`_anchor_covariances` only, as
-four weighted sums per tilt over blocks of X at x - y.  With a uniform Y the
-default anchors (quantiles of F_Z) are snapped to Y's lattice by the rule
-above, so X is evaluated once on the lattice of the differences and the
-blocks are gathered from it (:func:`_lattice_blocks`); given anchors, a
-non-uniform Y, or a lattice larger than a quarter of the direct cells use
-:func:`_x_blocks`.
+f_Y(y) (1-F_X)(x-y).  With Y's node weights wf, four sums over Y's nodes
+give both: S0 = sum wf F_X(x - .), S1 = sum wf a F_X, S2 = sum wf f_X and
+S3 = sum wf a f_X, the upper tilt taking sum wf - S0 and sum wf a - S1 for
+the first two (:func:`_covariances`).  f_X is counted at every node, also
+where a tilt is 0: the limit from inside X's support.  With a uniform Y the
+default points are every point of the lattice above from the one nearest
+the 0.02 quantile of F_Z to the one nearest the 0.98 quantile, and the four
+sums at all of them are correlations on the lattice of the differences
+(:func:`_lattice_sums`); given points, a non-uniform Y, or a lattice
+larger than a quarter of the 41 * n_Y direct cells sum :func:`_x_blocks`
+at the given points or at the 41 quantiles.
 The first condition is equivalent to log-concavity of F_Z, the second to
 log-concavity of 1-F_Z; both follow from Chebyshev's association
 inequality whenever Y is log-concave, since each second argument
@@ -62,7 +66,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .certify import (Certificate, CertifyOptions, Status, _require_blc, _verdict,
                       certify_blc)
@@ -137,22 +140,26 @@ def _roles(gX: GridDensity, gY: GridDensity) -> tuple[GridDensity, GridDensity]:
     return (gY, gX) if key(gX) < key(gY) else (gX, gY)
 
 
-def _lattice_sums(fns, u: np.ndarray, wf: np.ndarray, m: int) -> np.ndarray:
-    """sum_j wf_j fn(u_{m k + n_Y - 1 - j}) for every output node k, one row per fn.
+def _lattice_sums(fns, wf: np.ndarray, y0: float, h: float, u_ref: float,
+                 x0: float, m: int, n_out: int) -> np.ndarray:
+    """sum_j wf_j fn(x_k - y_j) at x_k = x0 + m h k, k < n_out, for Y's nodes y0 + h j.
 
-    ``u`` is the lattice of the differences x_k - y_j, ascending from
-    x_0 - y_{n_Y - 1} in steps of Y's spacing, and the output nodes step by
-    ``m`` of them, so each fn is evaluated once on ``u`` and the sums are a
-    correlation with Y's node weights ``wf``, done by one real FFT.  The
-    transform length is the least 2^a 3^b 5^c (b < 12, c < 8) not below the
-    lattice length, so nothing wraps around into the entries read back.
+    Every x_k - y_j = x0 - y0 + h (m k - j) is then a point of one lattice,
+    laid out from ``u_ref`` (which it hits exactly when x0 lies a whole
+    number of h from u_ref + y0), so each fn is evaluated once on it and
+    the sums are a correlation with each row of Y's node weights ``wf``
+    (shape (..., n_Y)), done by real FFTs; the result has shape
+    (..., len(fns), n_out).  The transform length is the least 2^a 3^b 5^c
+    (b < 12, c < 8) not below the lattice length, so nothing wraps around
+    into the entries read back.
     """
-    n_y, size = len(wf), len(u)
+    n_y = wf.shape[-1]
+    size = m * (n_out - 1) + n_y
+    u = u_ref + h * (np.arange(size) - round((u_ref - x0 + y0) / h) - n_y + 1)
     n_fft = min(p << (-(-size // p) - 1).bit_length() for p in _ODD_SMOOTH if p < 2 * size)
-    wf_hat = np.fft.rfft(wf, n_fft)
     vals = np.stack([np.asarray(fn(u), dtype=float) for fn in fns])
-    full = np.fft.irfft(np.fft.rfft(vals, n_fft, axis=-1) * wf_hat, n_fft, axis=-1)
-    return full[:, n_y - 1:size:m]
+    full = np.fft.irfft(np.fft.rfft(vals, n_fft) * np.fft.rfft(wf, n_fft)[..., None, :], n_fft)
+    return full[..., n_y - 1:size:m]
 
 
 def convolve(gX: GridDensity, gY: GridDensity) -> GridDensity:
@@ -229,11 +236,7 @@ def _node_sums(gX: GridDensity, gY: GridDensity, n: int):
         start = anchor + step * math.floor((lo - anchor) / step)
         n_out = int(math.ceil((lo + span - start) / (m * h) - 1e-9)) + 1
         xs = start + m * h * np.arange(n_out)
-        # x_k - y_j = start - y_0 + h (m k - j): the points of one lattice,
-        # laid out from u_ref, which is then hit exactly
-        size = m * (n_out - 1) + len(gY)
-        i_ref = round((u_ref - start + gY.xs[0]) / h) + len(gY) - 1
-        fs, Fs = _lattice_sums((pdf_X, cdf_X), u_ref + h * (np.arange(size) - i_ref), wf, m)
+        fs, Fs = _lattice_sums((pdf_X, cdf_X), wf, gY.xs[0], h, u_ref, start, m, n_out)
     else:
         xs = np.linspace(lo, gX.xs[-1] + gY.xs[-1], n)
         fs, Fs = np.empty(n), np.empty(n)
@@ -254,7 +257,7 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ConvolutionCriterionReport:
-    """Per-anchor covariance values for the two stability conditions."""
+    """Covariance values at each point for the two stability conditions."""
 
     xs: np.ndarray
     cov_lower: np.ndarray
@@ -281,64 +284,22 @@ class ConvolutionCriterionReport:
         return json.dumps(self.summary(), sort_keys=True)
 
 
-def _anchor_covariances(blocks, n_anchors: int, wf: np.ndarray, a: np.ndarray):
-    """Both covariances at ``n_anchors`` anchors from their (rows, F_X, f_X) ``blocks``.
+def _covariances(lower, upper, f_sums):
+    """cov_lower, cov_upper and the usable mask from the criterion's sums.
 
-    ``blocks`` are those of :func:`_x_blocks` or :func:`_lattice_blocks`;
-    ``wf`` is Y's node weight, zero at excluded nodes.  For the tilt
-    t = F_X(x - .) (sign +1) or 1 - F_X(x - .) (sign -1) the measure is
-    wf * t and the second argument is sign * f_X / t where t > 0, so four
-    matrix-vector sums give the covariance:
-    z = sum wf t, S_a = sum wf a t, S_b = sum wf f_X [t > 0] and
-    S_ab = sum wf a f_X [t > 0], and cov = sign (S_ab/z - (S_a/z)(S_b/z)).
-    Returns (cov_lower, cov_upper, usable); an anchor is usable when both
+    ``lower`` and ``upper`` hold, per point, the mass z = sum wf t and
+    S_a = sum wf a t of the tilts t = F_X(x - .) and 1 - F_X(x - .);
+    ``f_sums`` holds S_b = sum wf f_X and S_ab = sum wf a f_X, which both
+    tilts share: the second argument +-f_X / t under the measure wf t is
+    +-wf f_X where t > 0, and also where t = 0 in the limit from inside X's
+    support.  cov = +-(S_ab/z - (S_a/z)(S_b/z)); a point is usable when both
     tilted measures carry more than ``MASS_TOL``.
     """
-    weights = np.stack([wf, wf * a], axis=1)
-    sums = np.empty((n_anchors, 2, 4))  # per tilt: z, S_a, S_b, S_ab
-    for rows, Fx, fx in blocks:
-        for k, tilt in enumerate((Fx, 1.0 - Fx)):
-            sums[rows, k, :2] = tilt @ weights
-            sums[rows, k, 2:] = np.where(tilt > 0.0, fx, 0.0) @ weights
-    z, s_a, s_b, s_ab = np.moveaxis(sums, 2, 0)
+    s_b, s_ab = f_sums
     with np.errstate(divide="ignore", invalid="ignore"):
-        cov = np.array([1.0, -1.0]) * (s_ab / z - (s_a / z) * (s_b / z))
-    usable = (MASS_TOL < z[:, 0]) & (MASS_TOL < z[:, 1])
-    return cov[:, 0], cov[:, 1], usable
-
-
-def _lattice_blocks(gX: GridDensity, gY: GridDensity, q: np.ndarray):
-    """Anchors ``q`` snapped to Y's lattice, with their (rows, F_X, f_X) blocks.
-
-    For a uniform Y of spacing h each anchor moves to the nearest point
-    ``u_ref + y_0 + step t`` (:func:`_lattice_origin`, the rule of
-    :func:`_node_sums`).  Every x_a - y_j is then a point ``u_ref + h s`` of
-    one lattice, on which X's pdf and CDF are evaluated once; a block's rows
-    are gathered from it (anchor a reads ``F[s_a - j]``), in the row count of
-    :func:`_x_blocks`.  Anchors that snap to the same point are kept.  A non-uniform Y, or a lattice larger
-    than a quarter of the ``len(q) * n_Y`` cells of the direct blocks (the
-    guard of :func:`_node_sums`), returns ``(q, None)``: the anchors as given,
-    for :func:`_x_blocks`.
-    """
-    h = _spacing(gY.xs)
-    if h is None:
-        return q, None
-    u_ref, step = _lattice_origin(gX, h)
-    ref = u_ref + gY.xs[0]
-    s = round(step / h) * np.rint((q - ref) / step).astype(np.int64)
-    n_y = len(gY)
-    size = int(s.max() - s.min()) + n_y
-    if 4 * size > len(q) * n_y:
-        return q, None
-    # descending, so that anchor a's row is the slice from s_max - s_a on
-    u = u_ref + h * (s.max() - np.arange(size))
-    pdf_X, cdf_X = gX.functions()
-    F, f = (sliding_window_view(np.asarray(fn(u), dtype=float), n_y) for fn in (cdf_X, pdf_X))
-    first = s.max() - s
-    rows = _block_rows(n_y)
-    blocks = ((slice(lo, lo + rows), F[first[lo:lo + rows]], f[first[lo:lo + rows]])
-              for lo in range(0, len(q), rows))
-    return ref + h * s, blocks
+        cov = [sign * (s_ab / z - (s_a / z) * (s_b / z))
+               for sign, (z, s_a) in ((1.0, lower), (-1.0, upper))]
+    return cov[0], cov[1], (MASS_TOL < lower[0]) & (MASS_TOL < upper[0])
 
 
 def covariance_criterion(
@@ -348,47 +309,63 @@ def covariance_criterion(
     tolerance: float = 1e-6,
     gZ: Optional[GridDensity] = None,
 ) -> ConvolutionCriterionReport:
-    """Evaluate both stability covariances over a set of anchors.
+    """Evaluate both stability covariances over a set of points.
 
-    Anchors default to 41 quantiles of F_{X+Y} between 0.02 and 0.98 (pass
-    ``gZ`` to reuse an existing convolution).  When Y's grid is uniform the
-    default anchors are snapped to Y's lattice, each to the nearest point a
-    whole step from X's kink (step 2h) or first node (step h) plus y_0, so
-    X's pdf and CDF are evaluated once on the lattice of the differences
-    (:func:`_lattice_blocks`); anchors that snap to the same point are all
-    kept.  Passed ``xs``, a non-uniform Y, or a lattice larger than a quarter
-    of the 41 * n_Y cells of the direct sums keep the anchors as they are and
-    evaluate X on every cell (:func:`_x_blocks`).  Nodes where f_Y falls below
-    1e-12 times its maximum are excluded from the quadrature together with
-    their (negligible) weight, which is reported; anchors whose tilted
-    measures carry no mass are skipped.  Each covariance comes from four
-    matrix-vector sums (:func:`_anchor_covariances`).  ``tolerance`` must be
-    finite and >= 0 (``SpecError``), the anchors finite (``DomainError``).
+    By default (pass ``gZ`` to reuse an existing convolution) the points are
+    41 quantiles of F_{X+Y} between 0.02 and 0.98.  When Y's grid is uniform
+    with spacing h they are instead every point a whole step from X's kink
+    (step 2h) or first node (step h) plus y_0, from the one nearest the
+    0.02 quantile to the one nearest the 0.98 quantile, so the quantiles
+    snapped to that lattice are among them.  The four sums of
+    :func:`_covariances` at all of them are then correlations on the
+    lattice of the differences x - y_j (:func:`_lattice_sums`).  Passed
+    ``xs``, a non-uniform Y, or a lattice larger than a quarter of the
+    41 * n_Y cells of the direct sums keep the given points or the
+    quantiles and evaluate X on every cell (:func:`_x_blocks`).  Nodes where
+    f_Y falls below 1e-12 times its maximum are excluded from the quadrature
+    together with their (negligible) weight, which is reported; points
+    whose tilted measures carry no mass are skipped.  ``tolerance`` must be
+    finite and >= 0 (``SpecError``), the points finite (``DomainError``).
     """
     tolerance = CertifyOptions(tolerance).tolerance
-    blocks = None
-    if xs is None:
-        if gZ is None:
-            gZ = convolve(gX, gY)
-        xs, blocks = _lattice_blocks(gX, gY, gZ.quantile(np.linspace(0.02, 0.98, 41)))
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise DomainError("anchors must be finite")
-    if blocks is None:
-        blocks = _x_blocks(gX, xs, gY.xs)
-
     wq = gY.quad_weights
     alive = gY.fs > 1e-12 * gY.fs.max()
     excluded = float(np.sum((wq * gY.fs)[~alive]))
     a = np.where(alive, -gY.node_derivatives() / gY.fs, 0.0)  # a = (-log f_Y)'
-    cov_lo, cov_up, ok = _anchor_covariances(blocks, len(xs), np.where(alive, wq * gY.fs, 0.0), a)
+    wf = np.where(alive, wq * gY.fs, 0.0)
+    weights = np.stack([wf, wf * a])
+    sums = None  # (wf, wf a) x (F_X, 1 - F_X, f_X) x points
+    if xs is None:
+        if gZ is None:
+            gZ = convolve(gX, gY)
+        xs = gZ.quantile(np.linspace(0.02, 0.98, 41))
+        h = _spacing(gY.xs)
+        if h is not None:
+            u_ref, step = _lattice_origin(gX, h)
+            ref, r = u_ref + gY.xs[0], round(step / h)
+            s_lo, s_hi = r * np.rint((xs[[0, -1]] - ref) / step).astype(np.int64)
+            if 4 * (s_hi - s_lo + len(gY)) <= len(xs) * len(gY):
+                xs = ref + h * np.arange(s_lo, s_hi + 1, r)
+                pdf_X, cdf_X = gX.functions()
+                F, f = _lattice_sums((cdf_X, pdf_X), weights, gY.xs[0], h, u_ref,
+                                     xs[0], r, len(xs)).swapaxes(0, 1)
+                sums = np.stack([F, weights.sum(axis=1)[:, None] - F, f], axis=1)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("points must be finite")
+    if sums is None:
+        sums = np.empty((2, 3, len(xs)))
+        for rows, Fx, fx in _x_blocks(gX, xs, gY.xs):
+            for k, t in enumerate((Fx, 1.0 - Fx, fx)):
+                sums[:, k, rows] = weights @ t.T
+    cov_lo, cov_up, ok = _covariances(*sums.swapaxes(0, 1))
     kept, cov_lo, cov_up = xs[ok], cov_lo[ok], cov_up[ok]
 
     if len(kept):
         cert = _verdict("covariance_criterion", np.minimum(cov_lo, cov_up), kept, tolerance)
         verdict = Verdict.STABLE if cert.certified else Verdict.UNSTABLE
         min_lo, min_up = float(cov_lo.min()), float(cov_up.min())
-    else:  # no anchor carries mass
+    else:  # no point carries mass
         verdict, min_lo, min_up = Verdict.INCONCLUSIVE, math.nan, math.nan
     return ConvolutionCriterionReport(
         xs=kept, cov_lower=cov_lo, cov_upper=cov_up,
@@ -401,7 +378,7 @@ def check_convolution_blc_consistency(gX: GridDensity, gY: GridDensity) -> Certi
     """Cross-validate the covariance criterion against direct certification.
 
     Both inputs must certify as bi-log-concave.  The certificate is Certified
-    when the criterion verdict (at its default anchors) and the direct
+    when the criterion verdict (at its default points) and the direct
     certificate of the numerical convolution (at ``CONV_CERTIFY_TOL``)
     agree; its slack is the agreement confidence (the smaller of the two
     margin magnitudes, negated on disagreement).

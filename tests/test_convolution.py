@@ -344,13 +344,13 @@ def _tilted_covariances(gX, gY, xs):
     Fx, fx = np.asarray(cdf_X(u), dtype=float), np.asarray(pdf_X(u), dtype=float)
     covs, masses = [], []
     for tilt, sign in ((Fx, 1.0), (1.0 - Fx, -1.0)):
-        live = alive & (tilt > 0.0)
-        w = np.where(live, wf * tilt, 0.0)
+        w = np.where(alive, wf * tilt, 0.0)
         z = w.sum(axis=1)
-        b = np.where(live, sign * fx / np.where(live, tilt, 1.0), 0.0)
+        # w b = wf f_X / z with b = sign f_X / t: also where t = 0, in the
+        # limit from inside X's support
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = w / z[:, None]
-        covs.append(np.sum(w * a * b, axis=1) - np.sum(w * a, axis=1) * np.sum(w * b, axis=1))
+            w, wb = w / z[:, None], np.where(alive, sign * wf * fx, 0.0) / z[:, None]
+            covs.append(np.sum(wb * a, axis=1) - np.sum(w * a, axis=1) * np.sum(wb, axis=1))
         masses.append(z)
     return covs[0], covs[1], (masses[0] > MASS_TOL) & (masses[1] > MASS_TOL)
 
@@ -421,24 +421,28 @@ def _all_anchors(report):
 @given(gX=_x_factors().filter(lambda g: g.uniform_bounds is None),
        y_kind=st.sampled_from(_Y_KINDS[1:]), n=st.sampled_from([256, 1024]),
        c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0))
-def test_default_anchors_snap_to_the_lattice_of_y(gX, y_kind, n, c, s):
-    # a uniform Y puts the default anchors on its lattice: whole steps from
-    # u_ref + y_0 (2h from X's kink, else h from X's first node), each within
-    # half a step of its quantile, with the covariances of the direct blocks
-    # at those anchors.  They differ only where x_a - y_j is X's first or last
-    # node: on the lattice exactly, so t = 0 there and [t > 0] drops f_X, while
-    # the direct difference may round to either side.  That one cell per tilt
-    # moves a covariance by wf_j f_X (a_j - S_a / z) / z, with z >= 0.01 at
-    # these quantiles.
+def test_default_points_fill_the_lattice_of_y(gX, y_kind, n, c, s):
+    # a uniform Y puts the default points on every step of its lattice (2h
+    # from X's kink, else h from X's first node, plus y_0), from the point
+    # nearest the 0.02 quantile of F_Z to the one nearest the 0.98 quantile,
+    # so the 41 quantiles snapped to the lattice are among them.  Their
+    # covariances are those of the direct blocks at the same points, except
+    # where x - y_j is X's first or last node: on the lattice exactly, while
+    # the direct difference may round off X's grid, where a tabulated pdf is
+    # 0.  That one cell per tilt moves a covariance by
+    # wf_j f_X (a_j - S_a / z) / z, with z >= 0.01 at these quantiles.
     gY = _y_factor(y_kind, n, c, s)
     gZ = _convolve_or_none(gX, gY)
     assume(gZ is not None)
     report = covariance_criterion(gX, gY, gZ=gZ)
     h = _spacing(gY.xs)
     u_ref, step = (gX.kink_x, 2 * h) if gX.kink_x is not None else (gX.xs[0], h)
-    t = (_all_anchors(report) - u_ref - gY.xs[0]) / step
+    t = (_all_anchors(report) - (u_ref + gY.xs[0])) / step
     assert np.abs(t - np.rint(t)).max() < 1e-6
-    assert np.abs(_all_anchors(report) - gZ.quantile(_QUANTILES)).max() <= step / 2 * (1 + 1e-9)
+    t = np.rint(t)
+    snapped = np.rint((gZ.quantile(_QUANTILES) - (u_ref + gY.xs[0])) / step)
+    assert np.all(np.diff(t) == 1) and (t[0], t[-1]) == (snapped[0], snapped[-1])
+    assert np.all(np.isin(snapped, t))
     direct = covariance_criterion(gX, gY, xs=report.xs)
     assert np.array_equal(direct.xs, report.xs)
     f_end = np.abs(gX.functions()[0](gX.xs[[0, -1]])).max()
@@ -446,6 +450,26 @@ def test_default_anchors_snap_to_the_lattice_of_y(gX, y_kind, n, c, s):
     tol = 1e-12 + 2 * wf.max() * f_end * a / 0.01
     for got, want in ((report.cov_lower, direct.cov_lower), (report.cov_upper, direct.cov_upper)):
         assert np.abs(got - want).max() <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(sep=st.floats(0.0, 1.3), sd=st.floats(0.3, 2.0), c=st.floats(-2.0, 2.0),
+       y_kind=st.sampled_from(["gaussian", "logistic", "laplace", "uniform"]),
+       cy=st.floats(-2.0, 2.0), sy=st.floats(0.3, 2.0), n=st.sampled_from([256, 1024]))
+def test_blc_with_log_concave_is_stable_at_every_lattice_point(sep, sd, c, y_kind, cy, sy, n):
+    # the paper's theorem: a BLC X plus a log-concave Y is BLC, so both
+    # covariances are >= 0 for all x in J(F_Z); every lattice point of the
+    # default criterion (the quantiles past the quarter guard) sees it, with
+    # either factor playing Y
+    gX = materialize(mixture_spec(sep * sd, sd=sd, shift=c), n_points=n)
+    spec = (DistributionSpec.uniform(cy - sy, cy + sy) if y_kind == "uniform"
+            else getattr(DistributionSpec, y_kind)(cy, sy))
+    gY = materialize(spec, n_points=n)
+    gZ = _convolve_or_none(gX, gY)
+    assume(gZ is not None)
+    for first, second in ((gX, gY), (gY, gX)):
+        report = covariance_criterion(first, second, gZ=gZ)
+        assert report.verdict is Verdict.STABLE, (first.label, report.min_lower, report.min_upper)
 
 
 @pytest.mark.parametrize("y_kind", ["gaussian", "logistic", "mixture"])
@@ -488,7 +512,7 @@ def test_lattice_larger_than_a_quarter_of_the_direct_cells_keeps_the_quantiles()
                          ids=["sinh_grid", "uniform_grid"])
 def test_direct_sums_and_criterion_stay_small_in_memory(gY):
     # blocks of at most 8192 cells: neither pass holds an (n, n_Y) array, and
-    # the rows gathered from the criterion's lattice come in the same blocks
+    # the criterion's lattice sums hold a few arrays of the lattice's length
     gX = materialize(mixture_spec(1.0, sd=0.8), n_points=2048)
     tracemalloc.start()
     try:
@@ -538,10 +562,11 @@ class TestCovarianceCriterion:
         assert path.read_text().splitlines()[0] == "x,cov_lower,cov_upper"
 
     def test_anchor_refinement_stable(self, mix134):
-        # the stability conditions quantify over all anchors; doubling the
-        # anchor budget must not move the verdict or the minima materially
+        # the stability conditions quantify over all points; 81 quantiles
+        # must not move the verdict or the minima of every lattice point
+        # between the 0.02 and 0.98 quantiles materially
         gZ = convolve(mix134, mix134)
-        coarse = covariance_criterion(mix134, mix134, gZ=gZ)  # 41 quantile anchors
+        coarse = covariance_criterion(mix134, mix134, gZ=gZ)  # every lattice point
         fine = covariance_criterion(mix134, mix134,
                                     xs=gZ.quantile(np.linspace(0.02, 0.98, 81)))
         assert coarse.verdict is fine.verdict
@@ -566,8 +591,8 @@ class TestCovarianceCriterion:
                 normalizer = float(np.sum(wq * raw))
                 assert normalizer == pytest.approx(mass, abs=1e-5)
                 w = wq * raw / normalizer
-                b = np.where(tilt > 0, sign * fx / np.where(tilt > 0, tilt, 1.0), 0.0)
-                want = np.sum(w * a * b) - np.sum(w * a) * np.sum(w * b)
+                wb = sign * wq * laplace.fs * fx / normalizer  # w b, also where the tilt is 0
+                want = np.sum(wb * a) - np.sum(w * a) * np.sum(wb)
                 assert cov == pytest.approx(want, abs=1e-12)
 
     def test_out_of_range_anchors_skipped(self, gauss):
