@@ -1,4 +1,5 @@
 """Convolution quadrature, the covariance criterion, and smoothing sequences."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -64,8 +65,9 @@ class TestConvolve:
 
     @pytest.mark.parametrize("tabulated_first", [False, True])
     def test_mixture_with_tabulated_gaussian_closed_form(self, tabulated_first):
-        # in both orders the tabulated factor carries the direct sums on its
-        # own (trapezoid-weighted) nodes with the mixture's exact functions
+        # in both orders the tabulated factor is Y: its own (trapezoid-
+        # weighted) node weights are spread onto a lattice on which the
+        # mixture's exact functions are evaluated
         mix = grid_of(mixture_spec(1.0, sd=0.8), n=1024)
         tab = materialize(tabulated_spec(DistributionSpec.gaussian(0.3, 0.7), 1001))
         gZ = convolve(tab, mix) if tabulated_first else convolve(mix, tab)
@@ -208,6 +210,9 @@ def _factor_specs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(sx=_factor_specs(), sy=_factor_specs(), n=st.sampled_from([256, 512]))
+@example(sx=mixture_spec(1.0, sd=0.8),  # Y's weights spread onto a lattice
+         sy=tabulated_spec(DistributionSpec.gaussian(0.3, 0.7), 1001), n=256)
+@example(sx=LOGISTIC, sy=tabulated_spec(DistributionSpec.gaussian(0.3, 0.7), 301), n=512)
 def test_lattice_sums_equal_direct_sums(sx, sy, n):
     # the FFT pass is the same quadrature as summing over Y's grid directly
     gX, gY = _roles(materialize(sx, n_points=n), materialize(sy, n_points=n))
@@ -295,8 +300,15 @@ def _x_factors(draw):
 
 
 def _sinh_y(n, c, s):
-    """A Gaussian tabulated on n sinh-spaced points: the direct-sum Y."""
+    """A Gaussian tabulated on n sinh-spaced points: a Y without a lattice of
+    its own, spread onto one for a smooth analytic X and summed directly else."""
     return materialize(tabulated_spec(DistributionSpec.gaussian(c, s), n), n_points=n)
+
+
+def _spreads(gX):
+    """Whether Y's weights are spread onto a lattice for this X: an exact pdf,
+    no kink, no box."""
+    return gX.pdf_fn is not None and gX.kink_x is None and gX.uniform_bounds is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -304,7 +316,8 @@ def _sinh_y(n, c, s):
        c=st.floats(-2.0, 2.0), s=st.floats(0.3, 2.0))
 def test_blocked_banded_sums_equal_full_matrix_sums(gX, n, c, s):
     # X's CDF band changes no value of a block, and the row blocks leave
-    # each sum as one full-matrix product
+    # each sum as one full-matrix product; a smooth analytic X is summed on
+    # the spread lattice instead, which holds it to the FFT pass's bound
     gY = _sinh_y(n, c, s)
     xs = np.linspace(gX.xs[0] + gY.xs[0], gX.xs[-1] + gY.xs[-1], n + 1)
     pdf_X, cdf_X = gX.functions()
@@ -317,7 +330,42 @@ def test_blocked_banded_sums_equal_full_matrix_sums(gX, n, c, s):
     assert np.array_equal(got_xs, xs)
     for got, vals in ((fs, f_full), (Fs, F_full)):
         want = vals @ wf
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        bound = 1e-13 if _spreads(gX) else 1e-15 * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound
+
+
+def _counting(g, count):
+    """``g`` with its exact pdf and cdf adding the points they get to count[0]."""
+    def counted(fn):
+        def call(x):
+            count[0] += np.size(x)
+            return fn(x)
+        return call
+    return dataclasses.replace(g, pdf_fn=counted(g.pdf_fn), cdf_fn=counted(g.cdf_fn))
+
+
+def test_smooth_x_meets_a_non_uniform_y_on_a_spread_lattice():
+    # a mixture X against a 1001-point sinh Y is evaluated on the lattice the
+    # weights of Y are spread onto, not on each of the n * n_Y direct cells
+    n, count = 1024, [0]
+    gX = _counting(materialize(mixture_spec(1.0, sd=0.8), n_points=n), count)
+    gY = _sinh_y(1001, 0.3, 0.7)
+    assert _roles(gX, gY) == (gX, gY)
+    convolve(gX, gY)
+    assert 0 < count[0] < n * len(gY) / 8
+    # a kinked X, an interpolated X, and a lattice past the guard (a narrow
+    # X against a wide Y) keep the direct sums, equal to the full-matrix product
+    logistic_y = materialize(tabulated_spec(DistributionSpec.logistic(0.0, 1.0), 401))
+    for gX, gY in ((materialize(LAPLACE, n_points=n), gY),
+                   (materialize(tabulated_spec(GAUSSIAN, 801, spacing="uniform")), gY),
+                   (materialize(DistributionSpec.gaussian(0.0, 0.05), n_points=n), logistic_y)):
+        xs, fs, Fs = _node_sums(gX, gY, n + 1)
+        pdf_X, cdf_X = gX.functions()
+        u = xs[:, None] - gY.xs
+        wf = gY.quad_weights * gY.fs / np.sum(gY.quad_weights * gY.fs)
+        for got, vals in ((fs, pdf_X(u)), (Fs, cdf_X(u))):
+            want = np.asarray(vals, dtype=float) @ wf
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @settings(max_examples=40, deadline=None)
